@@ -1,7 +1,7 @@
 //! Experiment harness regenerating the paper's tables and figures.
 //!
 //! Each binary in `src/bin/` reproduces one artifact of the paper's
-//! evaluation (see `DESIGN.md` for the experiment index):
+//! evaluation (the README's `## Experiments` section indexes them):
 //!
 //! - `fig4` — Figure 4: StEM absolute error in service and waiting times
 //!   on five synthetic three-tier structures vs. observed fraction.

@@ -1,6 +1,6 @@
 //! Error type for the inference layer.
 
-use qni_model::ids::EventId;
+use qni_model::ids::{EventId, QueueId};
 use std::fmt;
 
 /// Errors raised by the Gibbs sampler, initialization, and StEM.
@@ -33,6 +33,14 @@ pub enum InferenceError {
         expected: usize,
         /// Provided entries.
         actual: usize,
+    },
+    /// A rate was not finite and strictly positive: the exponential
+    /// conditionals are undefined for it.
+    BadRate {
+        /// The queue the rate belongs to (queue 0 carries λ).
+        queue: QueueId,
+        /// The offending value.
+        value: f64,
     },
     /// Initialization failed to find a feasible completion.
     InitFailed(qni_lp::LpError),
@@ -75,6 +83,10 @@ impl fmt::Display for InferenceError {
             InferenceError::RateShapeMismatch { expected, actual } => {
                 write!(f, "expected {expected} rates, got {actual}")
             }
+            InferenceError::BadRate { queue, value } => write!(
+                f,
+                "bad rate for queue {queue}: {value} (rates must be finite and positive)"
+            ),
             InferenceError::InitFailed(e) => write!(f, "initialization failed: {e}"),
             InferenceError::BadOptions { what } => write!(f, "bad options: {what}"),
             InferenceError::EmptyKeptWindow {
@@ -131,6 +143,11 @@ mod tests {
         };
         assert!(e.to_string().contains("e2"));
         assert!(InferenceError::NotExponential.to_string().contains("M/M/1"));
+        let e = InferenceError::BadRate {
+            queue: QueueId(1),
+            value: -1.0,
+        };
+        assert!(e.to_string().contains("q1") && e.to_string().contains("-1"));
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //! by the same code path.
 
 use crate::error::InferenceError;
+use crate::gibbs::kernel::{classify, Support};
 use qni_model::ids::EventId;
 use qni_model::log::EventLog;
 use qni_stats::piecewise::PiecewiseExpDensity;
 use rand::Rng;
 
-/// Width below which a support is considered a point (the move is then
-/// deterministic).
-pub const DEGENERATE_WIDTH: f64 = 1e-12;
+pub use super::kernel::DEGENERATE_WIDTH;
 
 /// The conditional distribution of one arrival move.
 #[derive(Debug, Clone)]
@@ -191,28 +190,17 @@ pub(crate) fn support_from_parts(
     term1_break: Option<f64>,
     term3_break: Option<f64>,
 ) -> Result<ArrivalSupport, InferenceError> {
-    if upper < lower {
-        if upper > lower - 1e-9 {
-            // Numerically pinched support: treat as a point.
-            return Ok(ArrivalSupport::Point(lower, lower));
-        }
-        return Err(InferenceError::EmptySupport {
-            event: e,
+    Ok(match classify(e, lower, upper)? {
+        Support::Point(lower, upper) => ArrivalSupport::Point(lower, upper),
+        Support::Interval(lower, upper) => ArrivalSupport::Interval(ArrivalInputs {
             lower,
             upper,
-        });
-    }
-    if upper - lower < DEGENERATE_WIDTH {
-        return Ok(ArrivalSupport::Point(lower, upper));
-    }
-    Ok(ArrivalSupport::Interval(ArrivalInputs {
-        lower,
-        upper,
-        mu1,
-        mu2,
-        term1_break,
-        term3_break,
-    }))
+            mu1,
+            mu2,
+            term1_break,
+            term3_break,
+        }),
+    })
 }
 
 /// Computes the support and slope structure of `e`'s conditional from a

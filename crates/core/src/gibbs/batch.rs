@@ -80,6 +80,17 @@ use rand::Rng;
 const NO_DEP: u32 = u32::MAX;
 /// Maximum number of conflict-set entries (see module docs).
 const MAX_DEPS: usize = 8;
+/// Maximum number of segments of an arrival conditional (see
+/// [`super::arrival::ArrivalInputs::assemble`]).
+const MAX_ARRIVAL_SEGMENTS: usize = 3;
+
+/// A density workspace pre-sized for any arrival conditional, so its
+/// first rebuild does not allocate either.
+fn arrival_scratch() -> PiecewiseScratch {
+    let mut pw = PiecewiseScratch::new();
+    pw.reserve(MAX_ARRIVAL_SEGMENTS);
+    pw
+}
 
 /// One event's move-invariant structure: neighbourhood, rate indices, and
 /// conflict set. Everything here survives across sweeps.
@@ -202,6 +213,12 @@ impl BatchScratch {
         self.generation += 1;
     }
 
+    /// Pre-sizes the fallback density workspace, so a sweep's first
+    /// deferred move does not allocate.
+    pub(crate) fn reserve_fallback(&mut self) {
+        self.pw.reserve(MAX_ARRIVAL_SEGMENTS);
+    }
+
     fn mark_moved(&mut self, e: EventId) {
         self.stamps[e.index()] = self.generation;
     }
@@ -222,7 +239,7 @@ impl BatchScratch {
             self.supports.resize(n, ArrivalSupport::Point(0.0, 0.0));
         }
         if self.slots.len() < n {
-            self.slots.resize_with(n, PiecewiseScratch::new);
+            self.slots.resize_with(n, arrival_scratch);
         }
         WaveBufs {
             shapes,
@@ -357,6 +374,12 @@ impl WaveBufs<'_> {
     }
 }
 
+/// A NaN with a payload no arithmetic produces: rates carrying it make
+/// every [`prepare_chunk`] panic in test builds, whatever the profile, so
+/// the worker pool's panic propagation can be exercised on demand.
+#[cfg(test)]
+pub(crate) const POISON_RATE: f64 = f64::from_bits(0x7ff8_0000_dead_beef);
+
 /// Prepares one chunk of a wave against the frozen wave-entry log:
 /// gathers the neighbourhood times into the SoA columns, runs the
 /// bounds kernel, classifies each member's support, and builds the
@@ -368,6 +391,11 @@ pub(crate) fn prepare_chunk(
     rates: &[f64],
     mut bufs: WaveBufs<'_>,
 ) -> Result<(), InferenceError> {
+    #[cfg(test)]
+    assert!(
+        !rates.iter().any(|r| r.to_bits() == POISON_RATE.to_bits()),
+        "prepare_chunk: poisoned rates"
+    );
     for (i, shape) in bufs.shapes.iter().enumerate() {
         let nb = &shape.nb;
         bufs.a_p[i] = log.arrival(nb.p);

@@ -11,6 +11,7 @@
 //! queue's last event (the density is then a pure exponential tail).
 
 use crate::error::InferenceError;
+use crate::gibbs::kernel::{classify, KernelScratch, Stage, Support};
 use qni_model::ids::EventId;
 use qni_model::log::EventLog;
 use qni_stats::piecewise::PiecewiseExpDensity;
@@ -37,69 +38,95 @@ impl FinalConditional {
     }
 }
 
-/// Builds the conditional for resampling event `e`'s final departure.
-pub fn final_conditional(
-    log: &EventLog,
-    rates: &[f64],
-    e: EventId,
-) -> Result<FinalConditional, InferenceError> {
+/// The structural shape of one final-departure move: the event, its
+/// queue, and its within-queue neighbours `ρ(e)` and `F = ρ⁻¹(e)`,
+/// resolved once so the move itself only reads floats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FinalShape {
+    pub(crate) e: EventId,
+    q: u32,
+    rho: Option<EventId>,
+    next: Option<EventId>,
+}
+
+/// Resolves the shape of event `e`'s final-departure move.
+///
+/// Errors if `e` is not its task's final event.
+pub(crate) fn resolve_final(log: &EventLog, e: EventId) -> Result<FinalShape, InferenceError> {
     if !log.is_final_event(e) {
         return Err(InferenceError::BadMoveTarget {
             event: e,
             what: "interior departures are owned by the successor's arrival",
         });
     }
+    Ok(FinalShape {
+        e,
+        q: log.queue_of(e).index() as u32,
+        rho: log.rho(e),
+        next: log.rho_inv(e),
+    })
+}
+
+/// Stages one final-departure conditional: classifies its support and,
+/// for an interval, writes the breakpoints and slopes into `stage`. The
+/// single staging function behind both the owned
+/// [`final_conditional`] and the sweep's allocation-free kernel.
+pub(crate) fn stage_final(
+    log: &EventLog,
+    rates: &[f64],
+    shape: &FinalShape,
+    stage: &mut Stage,
+) -> Result<Support, InferenceError> {
+    let mu = rates[shape.q as usize];
+    // lower = begin_service(e) = max(a_e, d_{ρ(e)}).
+    let a = log.arrival(shape.e);
+    let lower = match shape.rho {
+        Some(r) => a.max(log.departure(r)),
+        None => a,
+    };
+    let upper = shape.next.map_or(f64::INFINITY, |f| log.departure(f));
+    let support = classify(shape.e, lower, upper)?;
+    if let Support::Interval(..) = support {
+        // Base slope −µ; +µ activates at a_F.
+        let mut start_slope = -mu;
+        stage.breaks.clear();
+        stage.slopes.clear();
+        stage.slopes.push(start_slope);
+        if let Some(f) = shape.next {
+            let b = log.arrival(f);
+            if b <= lower {
+                start_slope += mu;
+                stage.slopes[0] = start_slope;
+            } else if b < upper {
+                stage.breaks.push(b);
+                stage.slopes.push(start_slope + mu);
+            }
+            // b ≥ upper cannot happen: a_F ≤ d_F = upper by validity.
+        }
+    }
+    Ok(support)
+}
+
+/// Builds the conditional for resampling event `e`'s final departure.
+pub fn final_conditional(
+    log: &EventLog,
+    rates: &[f64],
+    e: EventId,
+) -> Result<FinalConditional, InferenceError> {
+    let shape = resolve_final(log, e)?;
     if rates.len() != log.num_queues() {
         return Err(InferenceError::RateShapeMismatch {
             expected: log.num_queues(),
             actual: rates.len(),
         });
     }
-    let mu = rates[log.queue_of(e).index()];
-    let lower = log.begin_service(e);
-    let next = log.rho_inv(e);
-    let upper = next.map_or(f64::INFINITY, |f| log.departure(f));
-    if upper < lower {
-        if upper > lower - 1e-9 {
-            return Ok(FinalConditional {
-                lower,
-                upper: lower,
-                density: None,
-            });
-        }
-        return Err(InferenceError::EmptySupport {
-            event: e,
-            lower,
-            upper,
-        });
-    }
-    if upper - lower < super::arrival::DEGENERATE_WIDTH {
-        return Ok(FinalConditional {
-            lower,
-            upper,
-            density: None,
-        });
-    }
-    // Base slope −µ; +µ activates at a_F.
-    let mut start_slope = -mu;
-    let mut breaks = Vec::new();
-    let mut slopes = vec![start_slope];
-    if let Some(f) = next {
-        let b = log.arrival(f);
-        if b <= lower {
-            start_slope += mu;
-            slopes[0] = start_slope;
-        } else if b < upper {
-            breaks.push(b);
-            slopes.push(start_slope + mu);
-        }
-        // b ≥ upper cannot happen: a_F ≤ d_F = upper by validity.
-    }
-    let density = PiecewiseExpDensity::continuous_from_slopes(lower, upper, &breaks, &slopes)?;
+    let mut stage = Stage::default();
+    let support = stage_final(log, rates, &shape, &mut stage)?;
+    let (Support::Point(lower, upper) | Support::Interval(lower, upper)) = support;
     Ok(FinalConditional {
         lower,
         upper,
-        density: Some(density),
+        density: stage.density(support)?,
     })
 }
 
@@ -113,6 +140,21 @@ pub fn resample_final<R: Rng + ?Sized>(
     let cond = final_conditional(log, rates, e)?;
     let x = cond.sample(rng);
     log.set_final_departure(e, x);
+    Ok(x)
+}
+
+/// [`resample_final`] through the allocation-free kernel, from a resolved
+/// shape; bit-identical to the owned path.
+pub(crate) fn resample_final_shaped<R: Rng + ?Sized>(
+    log: &mut EventLog,
+    rates: &[f64],
+    shape: &FinalShape,
+    kernel: &mut KernelScratch,
+    rng: &mut R,
+) -> Result<f64, InferenceError> {
+    let support = stage_final(log, rates, shape, &mut kernel.stage)?;
+    let x = kernel.draw(support, rng)?;
+    log.set_final_departure(shape.e, x);
     Ok(x)
 }
 

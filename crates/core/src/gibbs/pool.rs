@@ -445,16 +445,16 @@ mod tests {
         let gs = build_group_structure(&log, &events).unwrap();
         let wave = gs.test_wave(0);
         let mut pool = WavePool::new(3);
-        // NaN rates trip the density builders' finiteness assertions in
-        // every chunk — leader and workers alike. The dispatch must
+        // Poisoned rates make every chunk panic — leader and workers
+        // alike — in debug and release builds. The dispatch must
         // rendezvous with all of them and re-raise the panic without
         // deadlocking or wedging the pool.
-        let bad_rates = vec![f64::NAN; rates.len()];
+        let bad_rates = vec![crate::gibbs::batch::POISON_RATE; rates.len()];
         let mut scratch = BatchScratch::default();
         let panicked = catch_unwind(AssertUnwindSafe(|| {
             let _ = pool.dispatch(&log, &bad_rates, scratch.wave_bufs(wave), 3);
         }));
-        assert!(panicked.is_err(), "NaN rates must surface as a panic");
+        assert!(panicked.is_err(), "poisoned rates must surface as a panic");
         // The same pool then produces bit-identical good results.
         let mut inline = BatchScratch::default();
         crate::gibbs::batch::prepare_chunk(&log, &rates, inline.wave_bufs(wave)).unwrap();

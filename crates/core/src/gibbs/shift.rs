@@ -24,10 +24,11 @@
 //!   and every queue's arrival order intact.
 //!
 //! This move is an extension beyond the paper (which uses single-site
-//! moves only); `DESIGN.md` documents it and the `ablation_shift` harness
-//! measures its effect on mixing.
+//! moves only); the `ablation_shift` harness measures its effect on
+//! mixing.
 
 use crate::error::InferenceError;
+use crate::gibbs::kernel::{classify, KernelScratch, Stage, Support};
 use qni_model::ids::{EventId, TaskId};
 use qni_model::log::EventLog;
 use qni_stats::piecewise::PiecewiseExpDensity;
@@ -66,6 +67,198 @@ pub fn task_fully_free(masked: &qni_trace::MaskedLog, k: TaskId) -> bool {
     arrivals_free && !masked.mask().departure_observed(last)
 }
 
+/// How a task event's out-of-task queue predecessor enters the shift
+/// conditional (an in-task predecessor shifts along and contributes
+/// nothing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ShiftPred {
+    /// `ρ(e)` lies outside the task.
+    Outside(EventId),
+    /// `e` is the initial event of the queue's first task: its service
+    /// is the entry gap `d_e + δ − 0`.
+    Entry,
+}
+
+/// One task event that contributes to its task's shift conditional,
+/// with its out-of-task neighbours resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShiftTerm {
+    e: EventId,
+    /// Queue index of `e`.
+    q: u32,
+    /// Whether `a_e` shifts (every event but the task's initial one).
+    a_shifts: bool,
+    pred: Option<ShiftPred>,
+    /// Out-of-task successor `ρ⁻¹(e)` and its queue index.
+    succ: Option<(EventId, u32)>,
+}
+
+impl ShiftTerm {
+    /// How many slope breakpoints this term can contribute.
+    pub(crate) fn changes(&self) -> usize {
+        usize::from(self.a_shifts && matches!(self.pred, Some(ShiftPred::Outside(_))))
+            + usize::from(self.succ.is_some())
+    }
+}
+
+/// The structural shape of one task's shift move: the task, its first
+/// event (named by errors), and the range of its terms in the owning
+/// table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShiftShape {
+    pub(crate) task: TaskId,
+    first: EventId,
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+/// Resolves task `k`'s shift shape, appending its contributing terms to
+/// `terms` in task order (events with neither an out-of-task predecessor
+/// term nor an out-of-task successor are skipped: they contribute
+/// nothing).
+pub(crate) fn resolve_shift(log: &EventLog, k: TaskId, terms: &mut Vec<ShiftTerm>) -> ShiftShape {
+    let events = log.task_events(k);
+    let start = terms.len() as u32;
+    for &e in events {
+        let a_shifts = !log.is_initial_event(e);
+        let pred = match log.rho(e) {
+            Some(r) if log.task_of(r) == k => None,
+            Some(r) => Some(ShiftPred::Outside(r)),
+            None if a_shifts => None,
+            None => Some(ShiftPred::Entry),
+        };
+        let succ = log
+            .rho_inv(e)
+            .filter(|&f| log.task_of(f) != k)
+            .map(|f| (f, log.queue_of(f).index() as u32));
+        if pred.is_some() || succ.is_some() {
+            terms.push(ShiftTerm {
+                e,
+                q: log.queue_of(e).index() as u32,
+                a_shifts,
+                pred,
+                succ,
+            });
+        }
+    }
+    ShiftShape {
+        task: k,
+        first: events[0],
+        start,
+        end: terms.len() as u32,
+    }
+}
+
+/// Stable insertion sort by breakpoint: the handful of live breakpoints
+/// of one shift conditional sorts in place without allocating.
+fn sort_by_break(changes: &mut [(f64, f64)]) {
+    for i in 1..changes.len() {
+        let mut j = i;
+        while j > 0 && changes[j - 1].0.total_cmp(&changes[j].0).is_gt() {
+            changes.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+}
+
+/// Stages one shift conditional: classifies its support and, for an
+/// interval, writes the sorted breakpoints and slopes into `stage`. The
+/// single staging function behind both the owned [`shift_conditional`]
+/// and the sweep's allocation-free kernel.
+pub(crate) fn stage_shift(
+    log: &EventLog,
+    rates: &[f64],
+    shape: &ShiftShape,
+    terms: &[ShiftTerm],
+    stage: &mut Stage,
+) -> Result<Support, InferenceError> {
+    let mut lower = f64::NEG_INFINITY;
+    let mut upper = f64::INFINITY;
+    // Slope contributions: (breakpoint, delta-slope applied above it),
+    // plus a base slope active on the whole support.
+    let mut base_slope = 0.0f64;
+    stage.changes.clear();
+    for t in terms {
+        let a_e = log.arrival(t.e);
+        let d_e = log.departure(t.e);
+        match t.pred {
+            Some(ShiftPred::Outside(r)) => {
+                let mu_e = rates[t.q as usize];
+                let d_r = log.departure(r);
+                // s_e(δ) = d_e + δ − max(a_e + [a_shifts]δ, d_r).
+                if t.a_shifts {
+                    // Slope −µ_e while a_e + δ < d_r, 0 after.
+                    base_slope -= mu_e;
+                    stage.changes.push((d_r - a_e, mu_e));
+                    // s ≥ 0 ⟺ d_e + δ ≥ d_r.
+                    lower = lower.max(d_r - d_e);
+                    // Arrival order vs the out-of-task predecessor.
+                    lower = lower.max(log.arrival(r) - a_e);
+                } else {
+                    // Initial event: a = 0 fixed, max = d_r throughout.
+                    base_slope -= mu_e;
+                    lower = lower.max(d_r - d_e);
+                }
+            }
+            Some(ShiftPred::Entry) => {
+                // First task's entry gap: s = d_e + δ − 0.
+                base_slope -= rates[t.q as usize];
+                lower = lower.max(-d_e);
+            }
+            None => {}
+        }
+        // Outside successor at the same queue.
+        if let Some((f, qf)) = t.succ {
+            let a_f = log.arrival(f);
+            // s_f(δ) = d_f − max(a_f, d_e + δ): slope +µ_f once
+            // d_e + δ > a_f.
+            stage.changes.push((a_f - d_e, rates[qf as usize]));
+            // s_f ≥ 0 ⟺ d_e + δ ≤ d_f.
+            upper = upper.min(log.departure(f) - d_e);
+            // Arrival order vs the out-of-task successor.
+            if t.a_shifts {
+                upper = upper.min(a_f - a_e);
+            }
+        }
+    }
+    let support = classify(shape.first, lower, upper)?;
+    let Support::Interval(lower, upper) = support else {
+        return Ok(support);
+    };
+    // Fold sub-lower breakpoints into the base slope, drop super-upper
+    // ones, and sort the live ones.
+    let mut live = 0;
+    for i in 0..stage.changes.len() {
+        let (brk, delta) = stage.changes[i];
+        if brk <= lower {
+            base_slope += delta;
+        } else if brk < upper {
+            stage.changes[live] = (brk, delta);
+            live += 1;
+        }
+    }
+    stage.changes.truncate(live);
+    sort_by_break(&mut stage.changes);
+    stage.breaks.clear();
+    stage.slopes.clear();
+    stage.slopes.push(base_slope);
+    let mut slope = base_slope;
+    for &(brk, delta) in &stage.changes {
+        slope += delta;
+        stage.breaks.push(brk);
+        stage.slopes.push(slope);
+    }
+    // An unbounded upper support requires a decaying final slope; the last
+    // task's entry-gap term (−λ) guarantees it, but guard anyway.
+    if upper.is_infinite() && slope >= 0.0 {
+        return Err(InferenceError::BadMoveTarget {
+            event: shape.first,
+            what: "unbounded shift with non-decaying density",
+        });
+    }
+    Ok(support)
+}
+
 /// Builds the shift conditional for task `k`.
 ///
 /// `k` must be fully free (the caller guarantees it; the move would
@@ -81,138 +274,21 @@ pub fn shift_conditional(
             actual: rates.len(),
         });
     }
-    let events = log.task_events(k);
-    let in_task = |e: EventId| log.task_of(e) == k;
-
-    let mut lower = f64::NEG_INFINITY;
-    let mut upper = f64::INFINITY;
-    // Slope contributions: (breakpoint, delta-slope applied above it),
-    // plus a base slope active on the whole support.
-    let mut base_slope = 0.0f64;
-    let mut changes: Vec<(f64, f64)> = Vec::new();
-
-    for &e in events {
-        let mu_e = rates[log.queue_of(e).index()];
-        let a_e = log.arrival(e);
-        let d_e = log.departure(e);
-        let rho = log.rho(e);
-        let a_shifts = !log.is_initial_event(e);
-        match rho {
-            Some(r) if in_task(r) => {
-                // Both endpoints of the max shift: service invariant.
-            }
-            Some(r) => {
-                let d_r = log.departure(r);
-                // s_e(δ) = d_e + δ − max(a_e + [a_shifts]δ, d_r).
-                if a_shifts {
-                    // Slope −µ_e while a_e + δ < d_r, 0 after.
-                    let brk = d_r - a_e;
-                    base_slope -= mu_e;
-                    changes.push((brk, mu_e));
-                    // s ≥ 0 ⟺ d_e + δ ≥ d_r.
-                    lower = lower.max(d_r - d_e);
-                    // Arrival order vs the out-of-task predecessor.
-                    lower = lower.max(log.arrival(r) - a_e);
-                } else {
-                    // Initial event: a = 0 fixed, max = d_r throughout.
-                    base_slope -= mu_e;
-                    lower = lower.max(d_r - d_e);
-                }
-            }
-            None => {
-                if a_shifts {
-                    // Service d_e − a_e invariant.
-                } else {
-                    // First task's entry gap: s = d_e + δ − 0.
-                    base_slope -= mu_e;
-                    lower = lower.max(-d_e);
-                }
-            }
-        }
-        // Outside successor at the same queue.
-        if let Some(f) = log.rho_inv(e) {
-            if !in_task(f) {
-                let mu_f = rates[log.queue_of(f).index()];
-                let a_f = log.arrival(f);
-                let d_f = log.departure(f);
-                // s_f(δ) = d_f − max(a_f, d_e + δ): slope +µ_f once
-                // d_e + δ > a_f.
-                changes.push((a_f - d_e, mu_f));
-                // s_f ≥ 0 ⟺ d_e + δ ≤ d_f.
-                upper = upper.min(d_f - d_e);
-                // Arrival order vs the out-of-task successor.
-                if a_shifts {
-                    upper = upper.min(a_f - a_e);
-                }
-            }
-        }
-    }
-
-    if upper < lower {
-        if upper > lower - 1e-9 {
-            return Ok(ShiftConditional {
-                lower,
-                upper: lower,
-                density: None,
-            });
-        }
-        return Err(InferenceError::EmptySupport {
-            event: events[0],
-            lower,
-            upper,
-        });
-    }
-    if upper - lower < super::arrival::DEGENERATE_WIDTH {
-        return Ok(ShiftConditional {
-            lower,
-            upper,
-            density: None,
-        });
-    }
-    // Fold sub-lower breakpoints into the base slope, drop super-upper
-    // ones, and build the piecewise density.
-    let mut live: Vec<(f64, f64)> = Vec::with_capacity(changes.len());
-    for (brk, delta) in changes {
-        if brk <= lower {
-            base_slope += delta;
-        } else if brk < upper {
-            live.push((brk, delta));
-        }
-    }
-    live.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let breaks: Vec<f64> = live.iter().map(|c| c.0).collect();
-    let mut slopes = Vec::with_capacity(live.len() + 1);
-    slopes.push(base_slope);
-    for &(_, delta) in &live {
-        slopes.push(slopes.last().expect("non-empty") + delta); // qni-lint: allow(QNI-E002) — slopes is seeded with one element above
-    }
-    // An unbounded upper support requires a decaying final slope; the last
-    // task's entry-gap term (−λ) guarantees it, but guard anyway.
-    // qni-lint: allow(QNI-E002) — slopes is seeded with one element above
-    if upper.is_infinite() && *slopes.last().expect("non-empty") >= 0.0 {
-        return Err(InferenceError::BadMoveTarget {
-            event: events[0],
-            what: "unbounded shift with non-decaying density",
-        });
-    }
-    let density = PiecewiseExpDensity::continuous_from_slopes(lower, upper, &breaks, &slopes)?;
+    let mut terms = Vec::new();
+    let shape = resolve_shift(log, k, &mut terms);
+    let mut stage = Stage::default();
+    let support = stage_shift(log, rates, &shape, &terms, &mut stage)?;
+    let (Support::Point(lower, upper) | Support::Interval(lower, upper)) = support;
     Ok(ShiftConditional {
         lower,
         upper,
-        density: Some(density),
+        density: stage.density(support)?,
     })
 }
 
 /// Applies a shift `δ` to all free times of task `k`.
 pub fn apply_shift(log: &mut EventLog, k: TaskId, delta: f64) {
-    let events: Vec<EventId> = log.task_events(k).to_vec();
-    for &e in &events[1..] {
-        let a = log.arrival(e);
-        log.set_transition_time(e, a + delta);
-    }
-    let last = *events.last().expect("tasks are non-empty"); // qni-lint: allow(QNI-E002) — TaskLog validates tasks non-empty at construction
-    let d = log.departure(last);
-    log.set_final_departure(last, d + delta);
+    log.shift_task(k, delta);
 }
 
 /// Samples a shift for task `k` and applies it; returns `δ`.
@@ -225,6 +301,22 @@ pub fn resample_shift<R: Rng + ?Sized>(
     let cond = shift_conditional(log, rates, k)?;
     let delta = cond.sample(rng);
     apply_shift(log, k, delta);
+    Ok(delta)
+}
+
+/// [`resample_shift`] through the allocation-free kernel, from a
+/// resolved shape and its terms; bit-identical to the owned path.
+pub(crate) fn resample_shift_shaped<R: Rng + ?Sized>(
+    log: &mut EventLog,
+    rates: &[f64],
+    shape: &ShiftShape,
+    terms: &[ShiftTerm],
+    kernel: &mut KernelScratch,
+    rng: &mut R,
+) -> Result<f64, InferenceError> {
+    let support = stage_shift(log, rates, shape, terms, &mut kernel.stage)?;
+    let delta = kernel.draw(support, rng)?;
+    apply_shift(log, shape.task, delta);
     Ok(delta)
 }
 

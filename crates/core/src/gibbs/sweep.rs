@@ -53,8 +53,12 @@ pub enum BatchMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Move {
     Arrival(EventId),
-    Final(EventId),
-    Shift(qni_model::ids::TaskId),
+    /// A final-departure move; indexes the state's final shape table
+    /// (aligned with its free finals).
+    Final(u32),
+    /// A rigid task-shift move; indexes the state's shift shape table
+    /// (aligned with its shiftable tasks).
+    Shift(u32),
     /// A same-queue group of arrival moves (batched mode only); indexes
     /// the state's group list.
     Group(u32),
@@ -76,11 +80,11 @@ pub fn sweep<R: Rng + ?Sized>(
     state: &mut GibbsState,
     rng: &mut R,
 ) -> Result<SweepStats, InferenceError> {
+    state.ensure_move_shapes()?;
     let mut schedule = std::mem::take(&mut state.scratch.schedule);
     schedule.clear();
     schedule.extend(state.free_arrivals.iter().map(|&e| Move::Arrival(e)));
-    schedule.extend(state.free_finals.iter().map(|&e| Move::Final(e)));
-    schedule.extend(state.shiftable_tasks.iter().map(|&k| Move::Shift(k)));
+    extend_final_and_shift_moves(state, &mut schedule);
     schedule.shuffle(rng);
     let mut stats = SweepStats::default();
     let result = run_schedule(state, &schedule, ShardMode::Serial, None, rng, &mut stats);
@@ -136,8 +140,7 @@ pub fn sweep_batched_pooled<R: Rng + ?Sized>(
     let mut schedule = std::mem::take(&mut state.scratch.schedule);
     schedule.clear();
     schedule.extend((0..state.scratch.groups.len()).map(|gi| Move::Group(gi as u32)));
-    schedule.extend(state.free_finals.iter().map(|&e| Move::Final(e)));
-    schedule.extend(state.shiftable_tasks.iter().map(|&k| Move::Shift(k)));
+    extend_final_and_shift_moves(state, &mut schedule);
     schedule.shuffle(rng);
     let mut stats = SweepStats::default();
     let result = run_schedule(state, &schedule, shard, pool, rng, &mut stats);
@@ -148,6 +151,16 @@ pub fn sweep_batched_pooled<R: Rng + ?Sized>(
         "batched sweep corrupted constraints"
     );
     Ok(stats)
+}
+
+/// Appends one move per free final and per shiftable task, as indices
+/// into the state's shape tables in free-list order. The shuffle's RNG
+/// consumption depends only on the schedule length, so seeded runs do
+/// not depend on what an item carries.
+fn extend_final_and_shift_moves(state: &GibbsState, schedule: &mut Vec<Move>) {
+    let shapes = &state.scratch.shapes;
+    schedule.extend((0..shapes.finals.len()).map(|i| Move::Final(i as u32)));
+    schedule.extend((0..shapes.shifts.len()).map(|i| Move::Shift(i as u32)));
 }
 
 /// Validates a `(BatchMode, ShardMode)` combination: the shard mode
@@ -219,19 +232,28 @@ fn run_schedule<R: Rng + ?Sized>(
         scratch,
         ..
     } = state;
-    let crate::state::SweepScratch { groups, batch, .. } = scratch;
+    let crate::state::SweepScratch {
+        groups,
+        batch,
+        shapes,
+        kernel,
+        ..
+    } = scratch;
     for &mv in schedule {
         match mv {
             Move::Arrival(e) => {
                 super::arrival::resample_arrival(log, rates, e, rng)?;
                 stats.arrival_moves += 1;
             }
-            Move::Final(e) => {
-                super::final_departure::resample_final(log, rates, e, rng)?;
+            Move::Final(i) => {
+                let shape = &shapes.finals[i as usize];
+                super::final_departure::resample_final_shaped(log, rates, shape, kernel, rng)?;
                 stats.final_moves += 1;
             }
-            Move::Shift(k) => {
-                super::shift::resample_shift(log, rates, k, rng)?;
+            Move::Shift(i) => {
+                let shape = &shapes.shifts[i as usize];
+                let terms = shapes.terms(shape);
+                super::shift::resample_shift_shaped(log, rates, shape, terms, kernel, rng)?;
                 stats.shift_moves += 1;
             }
             Move::Group(gi) => {

@@ -9,7 +9,7 @@
 //!   log whose free times are resampled in place, plus current rates.
 //! - [`gibbs`]: the Gibbs moves. [`gibbs::arrival`] implements the
 //!   three-segment conditional of the paper's Figure 3 (via the general
-//!   piecewise log-linear construction derived in `DESIGN.md`);
+//!   piecewise log-linear construction derived in its module docs);
 //!   [`gibbs::final_departure`] handles task exit times, and
 //!   [`gibbs::sweep`] composes full sweeps.
 //! - [`init`]: feasible initialization — the paper's LP (§3) and an

@@ -4,7 +4,9 @@
 //! For arbitrary small networks and random events, the analytic
 //! conditional (piecewise construction) must agree with brute-force
 //! numerical evaluation of the joint — this fuzzes every breakpoint
-//! ordering and aliasing case the closed form has to handle.
+//! ordering and aliasing case the closed form has to handle. The
+//! sampler's allocation-free kernel must, in turn, draw bit-identically to
+//! the owned conditionals.
 
 use proptest::prelude::*;
 use qni_core::gibbs::arrival::arrival_conditional;
@@ -12,6 +14,7 @@ use qni_core::gibbs::final_departure::final_conditional;
 use qni_core::gibbs::numeric::service_log_joint;
 use qni_core::gibbs::numeric::{numeric_conditional_grid, numeric_final_grid};
 use qni_core::gibbs::shift::{apply_shift, shift_conditional};
+use qni_core::GibbsState;
 use qni_model::ids::TaskId;
 use qni_model::log::EventLog;
 use qni_model::topology::{tandem, three_tier};
@@ -199,6 +202,51 @@ proptest! {
                 }
             }
             prop_assert!(service_log_joint(&log, &rates).is_finite());
+        }
+    }
+
+    #[test]
+    fn kernel_moves_match_owned_conditionals_bitwise(
+        shape in 0u8..3,
+        tasks in 3usize..12,
+        seed in 2000u64..2500,
+        draw_seed in 0u64..1000,
+    ) {
+        // The state's final and shift moves run the sweep's kernel from
+        // its shape tables; the oracle log is driven by the owned
+        // conditionals. Same seed, same move order: every draw and the
+        // resulting logs must agree to the bit.
+        let (log, rates) = random_log(shape, tasks, seed);
+        let finals: Vec<_> = log
+            .event_ids()
+            .filter(|&e| log.is_final_event(e))
+            .collect();
+        let all_tasks: Vec<_> = (0..log.num_tasks()).map(TaskId::from_index).collect();
+        let mut state = GibbsState::from_parts(log.clone(), rates.clone(), Vec::new(), finals.clone())
+            .expect("state")
+            .with_shiftable_tasks(all_tasks.clone());
+        let mut oracle = log;
+        let mut rk = rng_from_seed(draw_seed);
+        let mut ro = rng_from_seed(draw_seed);
+        for _ in 0..3 {
+            for (&e, &k) in finals.iter().zip(&all_tasks) {
+                let kernel = state.move_final(e, &mut rk).expect("kernel final");
+                let owned = final_conditional(&oracle, &rates, e)
+                    .expect("owned final")
+                    .sample(&mut ro);
+                oracle.set_final_departure(e, owned);
+                prop_assert_eq!(kernel.to_bits(), owned.to_bits(), "final move of {}", e);
+                let kernel = state.move_shift(k, &mut rk).expect("kernel shift");
+                let owned = shift_conditional(&oracle, &rates, k)
+                    .expect("owned shift")
+                    .sample(&mut ro);
+                apply_shift(&mut oracle, k, owned);
+                prop_assert_eq!(kernel.to_bits(), owned.to_bits(), "shift move of {}", k);
+            }
+        }
+        for e in oracle.event_ids() {
+            prop_assert_eq!(state.log().arrival(e).to_bits(), oracle.arrival(e).to_bits());
+            prop_assert_eq!(state.log().departure(e).to_bits(), oracle.departure(e).to_bits());
         }
     }
 }

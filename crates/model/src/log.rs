@@ -223,6 +223,24 @@ impl EventLog {
         self.events[e.index()].departure = t;
     }
 
+    /// Translates every free time of task `k` by `delta`: each non-initial
+    /// event's transition time `a_e = d_{π(e)}` and the final departure.
+    /// The initial event's arrival stays pinned at 0. Equivalent to
+    /// [`EventLog::set_transition_time`] on every non-initial event
+    /// followed by [`EventLog::set_final_departure`], without re-resolving
+    /// each event's task position.
+    pub fn shift_task(&mut self, k: TaskId, delta: f64) {
+        let order = &self.task_order[k.index()];
+        for pair in order.windows(2) {
+            let t = self.events[pair[1].index()].arrival + delta;
+            self.events[pair[1].index()].arrival = t;
+            self.events[pair[0].index()].departure = t;
+        }
+        if let Some(last) = order.last() {
+            self.events[last.index()].departure += delta;
+        }
+    }
+
     /// Moves event `e` to `new_queue`, preserving arrival-sorted order in
     /// both queues.
     ///
@@ -614,6 +632,39 @@ mod tests {
         assert!(b
             .add_task(0.0, &[(StateId(1), QueueId::INITIAL, 0.0, 1.0)])
             .is_err());
+    }
+
+    #[test]
+    fn shift_task_matches_per_event_setters() {
+        let mut b = EventLogBuilder::new(3, StateId(0));
+        b.add_task(
+            1.0,
+            &[
+                (StateId(1), QueueId(1), 1.0, 2.0),
+                (StateId(2), QueueId(2), 2.0, 2.7),
+            ],
+        )
+        .unwrap();
+        let log = b.build().unwrap();
+        let k = TaskId(0);
+        let delta = 0.3;
+        let mut expected = log.clone();
+        let events = log.task_events(k).to_vec();
+        for &e in &events[1..] {
+            expected.set_transition_time(e, expected.arrival(e) + delta);
+        }
+        let last = events[events.len() - 1];
+        expected.set_final_departure(last, expected.departure(last) + delta);
+        let mut shifted = log.clone();
+        shifted.shift_task(k, delta);
+        for e in log.event_ids() {
+            assert_eq!(shifted.arrival(e).to_bits(), expected.arrival(e).to_bits());
+            assert_eq!(
+                shifted.departure(e).to_bits(),
+                expected.departure(e).to_bits()
+            );
+        }
+        assert_eq!(shifted.arrival(events[0]), 0.0);
     }
 
     #[test]

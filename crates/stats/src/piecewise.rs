@@ -370,6 +370,17 @@ impl PiecewiseScratch {
         PiecewiseScratch::default()
     }
 
+    /// Grows the buffers to hold densities of up to `segments` segments,
+    /// so later rebuilds of that size never allocate.
+    pub fn reserve(&mut self, segments: usize) {
+        self.segments
+            .reserve(segments.saturating_sub(self.segments.len()));
+        self.log_masses
+            .reserve(segments.saturating_sub(self.log_masses.len()));
+        self.probs
+            .reserve(segments.saturating_sub(self.probs.len()));
+    }
+
     /// Rebuilds the workspace as the continuous density
     /// [`PiecewiseExpDensity::continuous_from_slopes`] would construct,
     /// reusing the internal buffers. On error the workspace is left empty

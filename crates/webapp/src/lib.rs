@@ -15,8 +15,12 @@
 //! - the same load-balancer skew: one web server receives ≈ 19 requests,
 //!   so its estimates are unstable — the effect Figure 5 calls out.
 //!
-//! See `DESIGN.md` ("Substitutions") for why this preserves the behaviour
-//! the paper evaluates.
+//! The estimator sees nothing of the original system beyond its queue
+//! topology, the request paths, the per-queue event order and the sampled
+//! times, so a testbed that matches the topology, path, request count,
+//! ramp and load-balancer skew poses the same inference problem the paper
+//! evaluates (the README's `## Experiments` section lists the `fig5`
+//! harness that runs it).
 
 pub mod config;
 pub mod ramp;
