@@ -28,7 +28,7 @@
 
 use crate::error::InferenceError;
 use crate::gibbs::final_departure::{resolve_final, FinalShape};
-use crate::gibbs::shift::{resolve_shift, ShiftShape, ShiftTerm};
+use crate::gibbs::shift::{resolve_shift, term_changes, ShiftShape, ShiftTerm};
 use qni_model::ids::{EventId, TaskId};
 use qni_model::log::EventLog;
 use qni_stats::piecewise::{PiecewiseExpDensity, PiecewiseScratch};
@@ -199,8 +199,7 @@ impl MoveShapes {
         for &k in tasks {
             self.slot_of_task[k.index()][1] = self.shifts.len() as u32;
             let shape = resolve_shift(log, k, &mut self.terms);
-            let breaks = self.terms(&shape).iter().map(ShiftTerm::changes).sum();
-            max_breaks = max_breaks.max(breaks);
+            max_breaks = max_breaks.max(term_changes(self.terms(&shape)));
             self.shifts.push(shape);
         }
         kernel.reserve(max_breaks);

@@ -67,83 +67,78 @@ pub fn task_fully_free(masked: &qni_trace::MaskedLog, k: TaskId) -> bool {
     arrivals_free && !masked.mask().departure_observed(last)
 }
 
-/// How a task event's out-of-task queue predecessor enters the shift
-/// conditional (an in-task predecessor shifts along and contributes
-/// nothing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShiftPred {
-    /// `ρ(e)` lies outside the task.
-    Outside(EventId),
-    /// `e` is the initial event of the queue's first task: its service
-    /// is the entry gap `d_e + δ − 0`.
-    Entry,
-}
+/// Marks a missing neighbour in a [`ShiftTerm`].
+const NO_EVENT: u32 = u32::MAX;
 
 /// One task event that contributes to its task's shift conditional,
-/// with its out-of-task neighbours resolved.
+/// with its out-of-task queue neighbours resolved. Packed into 16 bytes
+/// (neighbour event indices with a [`NO_EVENT`] sentinel) so a typical
+/// task's terms share one cache line: a sweep visits shift moves in
+/// random order, and staging from the terms is about half of a move's
+/// cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShiftTerm {
     e: EventId,
-    /// Queue index of `e`.
+    /// Queue index of `e` — and of its successor `ρ⁻¹(e)`, which sits in
+    /// the same queue.
     q: u32,
-    /// Whether `a_e` shifts (every event but the task's initial one).
-    a_shifts: bool,
-    pred: Option<ShiftPred>,
-    /// Out-of-task successor `ρ⁻¹(e)` and its queue index.
-    succ: Option<(EventId, u32)>,
+    /// `ρ(e)` when it lies outside the task.
+    pred: u32,
+    /// `ρ⁻¹(e)` when it lies outside the task.
+    succ: u32,
 }
 
-impl ShiftTerm {
-    /// How many slope breakpoints this term can contribute.
-    pub(crate) fn changes(&self) -> usize {
-        usize::from(self.a_shifts && matches!(self.pred, Some(ShiftPred::Outside(_))))
-            + usize::from(self.succ.is_some())
-    }
+/// The event behind a term field, if any.
+fn neighbour(index: u32) -> Option<EventId> {
+    (index != NO_EVENT).then_some(EventId(index))
 }
 
-/// The structural shape of one task's shift move: the task, its first
-/// event (named by errors), and the range of its terms in the owning
-/// table.
+/// How many slope breakpoints one task's terms can contribute. The
+/// initial event (always the first term) moves no arrival, so its
+/// predecessor adds none.
+pub(crate) fn term_changes(terms: &[ShiftTerm]) -> usize {
+    terms
+        .iter()
+        .enumerate()
+        .map(|(i, t)| usize::from(i > 0 && t.pred != NO_EVENT) + usize::from(t.succ != NO_EVENT))
+        .sum()
+}
+
+/// The range of one task's terms in the owning table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShiftShape {
-    pub(crate) task: TaskId,
-    first: EventId,
     pub(crate) start: u32,
     pub(crate) end: u32,
 }
 
 /// Resolves task `k`'s shift shape, appending its contributing terms to
-/// `terms` in task order (events with neither an out-of-task predecessor
-/// term nor an out-of-task successor are skipped: they contribute
-/// nothing).
+/// `terms` in task order. Events with neither an out-of-task predecessor
+/// nor an out-of-task successor are skipped: their services shift along
+/// and contribute nothing. The initial event always contributes (its
+/// predecessor is another task's initial event, or none: the entry
+/// gap), so it is always the first term.
 pub(crate) fn resolve_shift(log: &EventLog, k: TaskId, terms: &mut Vec<ShiftTerm>) -> ShiftShape {
-    let events = log.task_events(k);
     let start = terms.len() as u32;
-    for &e in events {
-        let a_shifts = !log.is_initial_event(e);
-        let pred = match log.rho(e) {
-            Some(r) if log.task_of(r) == k => None,
-            Some(r) => Some(ShiftPred::Outside(r)),
-            None if a_shifts => None,
-            None => Some(ShiftPred::Entry),
-        };
-        let succ = log
-            .rho_inv(e)
-            .filter(|&f| log.task_of(f) != k)
-            .map(|f| (f, log.queue_of(f).index() as u32));
-        if pred.is_some() || succ.is_some() {
+    let outside = |n: Option<EventId>| match n {
+        Some(n) if log.task_of(n) != k => {
+            debug_assert!(n.0 != NO_EVENT, "event index collides with the sentinel");
+            n.0
+        }
+        _ => NO_EVENT,
+    };
+    for &e in log.task_events(k) {
+        let pred = outside(log.rho(e));
+        let succ = outside(log.rho_inv(e));
+        if log.is_initial_event(e) || pred != NO_EVENT || succ != NO_EVENT {
             terms.push(ShiftTerm {
                 e,
                 q: log.queue_of(e).index() as u32,
-                a_shifts,
                 pred,
                 succ,
             });
         }
     }
     ShiftShape {
-        task: k,
-        first: events[0],
         start,
         end: terms.len() as u32,
     }
@@ -161,14 +156,13 @@ fn sort_by_break(changes: &mut [(f64, f64)]) {
     }
 }
 
-/// Stages one shift conditional: classifies its support and, for an
-/// interval, writes the sorted breakpoints and slopes into `stage`. The
-/// single staging function behind both the owned [`shift_conditional`]
-/// and the sweep's allocation-free kernel.
+/// Stages one shift conditional from its task's terms: classifies its
+/// support and, for an interval, writes the sorted breakpoints and
+/// slopes into `stage`. The single staging function behind both the
+/// owned [`shift_conditional`] and the sweep's allocation-free kernel.
 pub(crate) fn stage_shift(
     log: &EventLog,
     rates: &[f64],
-    shape: &ShiftShape,
     terms: &[ShiftTerm],
     stage: &mut Stage,
 ) -> Result<Support, InferenceError> {
@@ -178,50 +172,54 @@ pub(crate) fn stage_shift(
     // plus a base slope active on the whole support.
     let mut base_slope = 0.0f64;
     stage.changes.clear();
-    for t in terms {
+    for (i, t) in terms.iter().enumerate() {
+        // Every arrival but the initial event's (the first term) shifts.
+        let a_shifts = i > 0;
+        let mu = rates[t.q as usize];
         let a_e = log.arrival(t.e);
         let d_e = log.departure(t.e);
-        match t.pred {
-            Some(ShiftPred::Outside(r)) => {
-                let mu_e = rates[t.q as usize];
+        match neighbour(t.pred) {
+            Some(r) => {
                 let d_r = log.departure(r);
                 // s_e(δ) = d_e + δ − max(a_e + [a_shifts]δ, d_r).
-                if t.a_shifts {
+                if a_shifts {
                     // Slope −µ_e while a_e + δ < d_r, 0 after.
-                    base_slope -= mu_e;
-                    stage.changes.push((d_r - a_e, mu_e));
+                    base_slope -= mu;
+                    stage.changes.push((d_r - a_e, mu));
                     // s ≥ 0 ⟺ d_e + δ ≥ d_r.
                     lower = lower.max(d_r - d_e);
                     // Arrival order vs the out-of-task predecessor.
                     lower = lower.max(log.arrival(r) - a_e);
                 } else {
                     // Initial event: a = 0 fixed, max = d_r throughout.
-                    base_slope -= mu_e;
+                    base_slope -= mu;
                     lower = lower.max(d_r - d_e);
                 }
             }
-            Some(ShiftPred::Entry) => {
+            None if !a_shifts => {
                 // First task's entry gap: s = d_e + δ − 0.
-                base_slope -= rates[t.q as usize];
+                base_slope -= mu;
                 lower = lower.max(-d_e);
             }
             None => {}
         }
-        // Outside successor at the same queue.
-        if let Some((f, qf)) = t.succ {
+        // Outside successor at the same queue (so also rate µ_e).
+        if let Some(f) = neighbour(t.succ) {
             let a_f = log.arrival(f);
             // s_f(δ) = d_f − max(a_f, d_e + δ): slope +µ_f once
             // d_e + δ > a_f.
-            stage.changes.push((a_f - d_e, rates[qf as usize]));
+            stage.changes.push((a_f - d_e, mu));
             // s_f ≥ 0 ⟺ d_e + δ ≤ d_f.
             upper = upper.min(log.departure(f) - d_e);
             // Arrival order vs the out-of-task successor.
-            if t.a_shifts {
+            if a_shifts {
                 upper = upper.min(a_f - a_e);
             }
         }
     }
-    let support = classify(shape.first, lower, upper)?;
+    // Errors name the task's initial event.
+    let first = terms[0].e;
+    let support = classify(first, lower, upper)?;
     let Support::Interval(lower, upper) = support else {
         return Ok(support);
     };
@@ -252,7 +250,7 @@ pub(crate) fn stage_shift(
     // task's entry-gap term (−λ) guarantees it, but guard anyway.
     if upper.is_infinite() && slope >= 0.0 {
         return Err(InferenceError::BadMoveTarget {
-            event: shape.first,
+            event: first,
             what: "unbounded shift with non-decaying density",
         });
     }
@@ -275,9 +273,9 @@ pub fn shift_conditional(
         });
     }
     let mut terms = Vec::new();
-    let shape = resolve_shift(log, k, &mut terms);
+    resolve_shift(log, k, &mut terms);
     let mut stage = Stage::default();
-    let support = stage_shift(log, rates, &shape, &terms, &mut stage)?;
+    let support = stage_shift(log, rates, &terms, &mut stage)?;
     let (Support::Point(lower, upper) | Support::Interval(lower, upper)) = support;
     Ok(ShiftConditional {
         lower,
@@ -304,19 +302,18 @@ pub fn resample_shift<R: Rng + ?Sized>(
     Ok(delta)
 }
 
-/// [`resample_shift`] through the allocation-free kernel, from a
-/// resolved shape and its terms; bit-identical to the owned path.
+/// [`resample_shift`] through the allocation-free kernel, from a task's
+/// resolved terms; bit-identical to the owned path.
 pub(crate) fn resample_shift_shaped<R: Rng + ?Sized>(
     log: &mut EventLog,
     rates: &[f64],
-    shape: &ShiftShape,
     terms: &[ShiftTerm],
     kernel: &mut KernelScratch,
     rng: &mut R,
 ) -> Result<f64, InferenceError> {
-    let support = stage_shift(log, rates, shape, terms, &mut kernel.stage)?;
+    let support = stage_shift(log, rates, terms, &mut kernel.stage)?;
     let delta = kernel.draw(support, rng)?;
-    apply_shift(log, shape.task, delta);
+    apply_shift(log, log.task_of(terms[0].e), delta);
     Ok(delta)
 }
 

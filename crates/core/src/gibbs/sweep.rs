@@ -251,9 +251,8 @@ fn run_schedule<R: Rng + ?Sized>(
                 stats.final_moves += 1;
             }
             Move::Shift(i) => {
-                let shape = &shapes.shifts[i as usize];
-                let terms = shapes.terms(shape);
-                super::shift::resample_shift_shaped(log, rates, shape, terms, kernel, rng)?;
+                let terms = shapes.terms(&shapes.shifts[i as usize]);
+                super::shift::resample_shift_shaped(log, rates, terms, kernel, rng)?;
                 stats.shift_moves += 1;
             }
             Move::Group(gi) => {

@@ -247,17 +247,13 @@ impl GibbsState {
         } = self;
         let SweepScratch { shapes, kernel, .. } = scratch;
         match shapes.shift_slot(k) {
-            Some(i) => {
-                let shape = shapes.shifts[i];
-                crate::gibbs::shift::resample_shift_shaped(
-                    log,
-                    rates,
-                    &shape,
-                    shapes.terms(&shape),
-                    kernel,
-                    rng,
-                )
-            }
+            Some(i) => crate::gibbs::shift::resample_shift_shaped(
+                log,
+                rates,
+                shapes.terms(&shapes.shifts[i]),
+                kernel,
+                rng,
+            ),
             None => crate::gibbs::shift::resample_shift(log, rates, k, rng),
         }
     }
