@@ -2,9 +2,9 @@
 //! (should be linear) and in server count (should be flat per move).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qni_core::gibbs::sweep::sweep;
+use qni_core::gibbs::sweep::sweep_with_opts;
 use qni_core::init::InitStrategy;
-use qni_core::GibbsState;
+use qni_core::{BatchMode, GibbsState, ShardMode};
 use qni_model::topology::three_tier;
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::rng_from_seed;
@@ -36,7 +36,10 @@ fn bench_scaling_in_events(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(tasks), &tasks, |b, _| {
             let mut st = state.clone();
             let mut rng = rng_from_seed(2);
-            b.iter(|| sweep(&mut st, &mut rng).expect("sweep"));
+            b.iter(|| {
+                sweep_with_opts(&mut st, BatchMode::Scalar, ShardMode::Serial, &mut rng)
+                    .expect("sweep")
+            });
         });
     }
     group.finish();
@@ -51,7 +54,10 @@ fn bench_scaling_in_servers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &sizes, |b, _| {
             let mut st = state.clone();
             let mut rng = rng_from_seed(4);
-            b.iter(|| sweep(&mut st, &mut rng).expect("sweep"));
+            b.iter(|| {
+                sweep_with_opts(&mut st, BatchMode::Scalar, ShardMode::Serial, &mut rng)
+                    .expect("sweep")
+            });
         });
     }
     group.finish();

@@ -4,9 +4,9 @@
 //! `shard_speedup` binary is the tracked experiment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qni_core::gibbs::sweep::sweep_batched_sharded;
+use qni_core::gibbs::sweep::sweep_with_opts;
 use qni_core::init::InitStrategy;
-use qni_core::{GibbsState, ShardMode};
+use qni_core::{BatchMode, GibbsState, ShardMode};
 use qni_model::topology::{tandem, Blueprint};
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::rng_from_seed;
@@ -41,8 +41,13 @@ fn bench_sharded_sweep(c: &mut Criterion) {
                 let mut st = state.clone();
                 let mut rng = rng_from_seed(3);
                 b.iter(|| {
-                    sweep_batched_sharded(&mut st, ShardMode::Sharded(shards), &mut rng)
-                        .expect("sweep")
+                    sweep_with_opts(
+                        &mut st,
+                        BatchMode::Grouped,
+                        ShardMode::Sharded(shards),
+                        &mut rng,
+                    )
+                    .expect("sweep")
                 });
             },
         );

@@ -7,9 +7,9 @@
 //! linearly), the other varies the servers per tier at a fixed task count
 //! (cost per sweep should stay roughly flat).
 
-use qni_core::gibbs::sweep::sweep;
+use qni_core::gibbs::sweep::sweep_with_opts;
 use qni_core::init::InitStrategy;
-use qni_core::GibbsState;
+use qni_core::{BatchMode, GibbsState, ShardMode};
 use qni_model::topology::three_tier;
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::rng_from_seed;
@@ -57,12 +57,13 @@ pub fn measure(
     let rates = bp.network.rates().expect("mm1");
     let mut state = GibbsState::new(&masked, rates, InitStrategy::default()).expect("init");
     // Warm-up sweep outside the timed region.
-    sweep(&mut state, &mut rng).expect("sweep");
+    sweep_with_opts(&mut state, BatchMode::Scalar, ShardMode::Serial, &mut rng).expect("sweep");
     let free = state.num_free();
     let start = Instant::now();
     let mut moves = 0usize;
     for _ in 0..sweeps {
-        let s = sweep(&mut state, &mut rng).expect("sweep");
+        let s = sweep_with_opts(&mut state, BatchMode::Scalar, ShardMode::Serial, &mut rng)
+            .expect("sweep");
         moves += s.arrival_moves + s.final_moves;
     }
     let elapsed = start.elapsed();

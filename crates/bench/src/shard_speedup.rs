@@ -17,7 +17,7 @@
 //! thread-spawn overhead would dominate.
 
 use crate::batch_speedup::BatchWorkload;
-use qni_core::gibbs::sweep::{sweeps_with_opts, BatchMode};
+use qni_core::gibbs::sweep::{sweep_with_opts, BatchMode};
 use qni_core::init::InitStrategy;
 use qni_core::stem::{run_stem, StemOptions};
 use qni_core::{GibbsState, ShardMode};
@@ -117,18 +117,22 @@ fn probe_deferred(masked: &MaskedLog, w: &BatchWorkload) -> f64 {
     let rates = qni_core::stem::heuristic_rates(masked);
     let mut state = GibbsState::new(masked, rates, InitStrategy::default()).expect("state");
     let mut rng = rng_from_seed(w.seed ^ 0x5eed);
-    let stats = sweeps_with_opts(
-        &mut state,
-        BatchMode::Grouped,
-        ShardMode::Sharded(2),
-        3,
-        &mut rng,
-    )
-    .expect("sweeps");
-    if stats.arrival_moves == 0 {
+    let (mut moves, mut fallbacks) = (0, 0);
+    for _ in 0..3 {
+        let stats = sweep_with_opts(
+            &mut state,
+            BatchMode::Grouped,
+            ShardMode::Sharded(2),
+            &mut rng,
+        )
+        .expect("sweep");
+        moves += stats.arrival_moves;
+        fallbacks += stats.group_fallbacks;
+    }
+    if moves == 0 {
         0.0
     } else {
-        stats.group_fallbacks as f64 / stats.arrival_moves as f64
+        fallbacks as f64 / moves as f64
     }
 }
 

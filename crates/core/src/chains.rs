@@ -5,10 +5,16 @@
 //! masked log and its own RNG stream. This module runs `K` chains on
 //! `K` threads — the calling thread works chain 0 itself and `K − 1`
 //! scoped threads run the rest — pools their post-burn-in rate traces
-//! into a combined
-//! point estimate, and reports split-R̂ / pooled-ESS convergence
-//! diagnostics — the multi-chain mixing checks of Sutton & Jordan's
-//! journal follow-up, which a single chain cannot compute about itself.
+//! into a combined point estimate, and reports split-R̂ / pooled-ESS
+//! convergence diagnostics — the multi-chain mixing checks of Sutton &
+//! Jordan's journal follow-up, which a single chain cannot compute about
+//! itself.
+//!
+//! [`run_stem_parallel`] is the only public entry point. The streaming
+//! engine calls the same body with warm-start targets. Each chain owns
+//! its sampler state, so a sharded chain fans its waves out to a wave
+//! pool of its own: `K` chains at `Sharded(n)` occupy `K × n` threads,
+//! the quantity [`ParallelStemOptions::thread_budget`] caps.
 //!
 //! # Determinism
 //!
@@ -46,10 +52,9 @@
 
 use crate::diagnostics::{rate_trace_diagnostics, ChainDiagnostics};
 use crate::error::InferenceError;
-use crate::gibbs::pool::PoolSet;
 use crate::gibbs::shard::ShardMode;
 use crate::init::WarmTimes;
-use crate::stem::{run_stem_warm_in_pool, StemOptions, StemResult};
+use crate::stem::{run_chain, StemOptions, StemResult};
 use qni_stats::rng::{rng_from_seed, split_seed};
 use qni_trace::MaskedLog;
 
@@ -160,9 +165,10 @@ pub struct ParallelStemResult {
 
 /// Runs `opts.chains` independent StEM chains in parallel and pools them.
 ///
-/// Each chain is a full [`crate::stem::run_stem`] invocation on its own
-/// thread (chain 0 on the calling thread, the rest on scoped threads)
-/// with its own derived RNG stream; see the module docs for the seeding
+/// Each chain runs the [`crate::stem::run_stem`] loop on its own thread
+/// (chain 0 on the calling thread, the rest on scoped threads) with its
+/// own derived RNG stream and its own sampler state — and so, when
+/// sharded, its own wave pool; see the module docs for the seeding
 /// scheme and determinism guarantees. The pooled `rates` average the
 /// chains' post-burn-in means; `diagnostics` reports per-queue split-R̂
 /// (values ≲ 1.05 indicate the chains agree) and pooled effective sample
@@ -172,35 +178,19 @@ pub fn run_stem_parallel(
     initial_rates: Option<&[f64]>,
     opts: &ParallelStemOptions,
 ) -> Result<ParallelStemResult, InferenceError> {
-    run_stem_parallel_warm(masked, initial_rates, None, opts)
+    run_chains(masked, initial_rates, None, opts)
 }
 
-/// [`run_stem_parallel`] with optional warm-start initialization targets
-/// shared by every chain (see [`crate::init::WarmTimes`]). Warm targets
-/// only move each chain's starting point; chain seeds, pooling, and
-/// diagnostics are unchanged.
-pub fn run_stem_parallel_warm(
+/// The multi-chain body of [`run_stem_parallel`], with optional
+/// warm-start targets shared by every chain (see [`WarmTimes`]; the
+/// streaming engine passes the previous window's final state). Warm
+/// targets only move each chain's starting point; chain seeds, pooling,
+/// and diagnostics are unchanged.
+pub(crate) fn run_chains(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
     warm: Option<&WarmTimes>,
     opts: &ParallelStemOptions,
-) -> Result<ParallelStemResult, InferenceError> {
-    let mut pools = PoolSet::new();
-    run_stem_parallel_warm_in_pools(masked, initial_rates, warm, opts, &mut pools)
-}
-
-/// [`run_stem_parallel_warm`] against a caller-owned [`PoolSet`], so
-/// long-lived callers (the streaming engine, watch sessions) can reuse
-/// each chain's persistent [`crate::gibbs::pool::WavePool`] across
-/// windows instead of spawning fresh pool threads per fit. The set is
-/// (re)built lazily for the run's effective chain/shard shape; pool
-/// reuse is byte-neutral (see [`crate::gibbs::pool`]).
-pub fn run_stem_parallel_warm_in_pools(
-    masked: &MaskedLog,
-    initial_rates: Option<&[f64]>,
-    warm: Option<&WarmTimes>,
-    opts: &ParallelStemOptions,
-    pools: &mut PoolSet,
 ) -> Result<ParallelStemResult, InferenceError> {
     opts.validate()?;
     let chain_seeds: Vec<u64> = (0..opts.chains)
@@ -212,23 +202,13 @@ pub fn run_stem_parallel_warm_in_pools(
     let mut stem_opts = opts.stem.clone();
     stem_opts.shard = opts.effective_shard();
     let stem_opts = &stem_opts;
-    let slots = pools.ensure(opts.chains, stem_opts.shard, stem_opts.dispatch);
-    let (leader_slot, rest_slots) = slots.split_at_mut(1);
     let results: Vec<Result<StemResult, InferenceError>> = std::thread::scope(|s| {
         let handles: Vec<_> = chain_seeds[1..]
             .iter()
-            .zip(rest_slots.iter_mut())
-            .map(|(&seed, slot)| {
+            .map(|&seed| {
                 s.spawn(move || {
                     let mut rng = rng_from_seed(seed);
-                    run_stem_warm_in_pool(
-                        masked,
-                        initial_rates,
-                        warm,
-                        stem_opts,
-                        slot.as_mut(),
-                        &mut rng,
-                    )
+                    run_chain(masked, initial_rates, warm, stem_opts, &mut rng)
                 })
             })
             .collect();
@@ -238,14 +218,7 @@ pub fn run_stem_parallel_warm_in_pools(
         // `thread_budget` charges for (no parked-caller off-by-one).
         let leader = {
             let mut rng = rng_from_seed(chain_seeds[0]);
-            run_stem_warm_in_pool(
-                masked,
-                initial_rates,
-                warm,
-                stem_opts,
-                leader_slot[0].as_mut(),
-                &mut rng,
-            )
+            run_chain(masked, initial_rates, warm, stem_opts, &mut rng)
         };
         std::iter::once(leader)
             .chain(

@@ -512,7 +512,7 @@ pub(crate) fn resample_group<R: Rng + ?Sized>(
     group: &GroupStructure,
     scratch: &mut BatchScratch,
     shard: ShardMode,
-    mut pool: Option<&mut crate::gibbs::pool::WavePool>,
+    pool: &mut crate::gibbs::pool::PoolSlot,
     rng: &mut R,
 ) -> Result<GroupStats, InferenceError> {
     let mut stats = GroupStats::default();
@@ -522,15 +522,9 @@ pub(crate) fn resample_group<R: Rng + ?Sized>(
         }
         scratch.begin_wave(log.num_events());
         // Prepare phase: every wave member's support and density against
-        // the wave's entry state, chunked across shard workers (drawn
-        // from the persistent pool when one is supplied).
-        crate::gibbs::shard::prepare_wave(
-            log,
-            rates,
-            scratch.wave_bufs(wave),
-            shard,
-            pool.as_deref_mut(),
-        )?;
+        // the wave's entry state, chunked across the state's pool
+        // workers when the wave is large enough.
+        crate::gibbs::shard::prepare_wave(log, rates, scratch.wave_bufs(wave), shard, pool)?;
         // Serial drain: draws, writes, and deferred-move cleanup.
         for (i, shape) in wave.iter().enumerate() {
             let x = if scratch.is_conflicted(shape) {
@@ -620,7 +614,16 @@ mod tests {
     ) -> GroupStats {
         let gs = build_group_structure(log, events).unwrap();
         let mut rng = rng_from_seed(seed);
-        resample_group(log, rates, &gs, scratch, ShardMode::Serial, None, &mut rng).unwrap()
+        resample_group(
+            log,
+            rates,
+            &gs,
+            scratch,
+            ShardMode::Serial,
+            &mut Default::default(),
+            &mut rng,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -753,7 +756,7 @@ mod tests {
                 &gs,
                 &mut scratch,
                 ShardMode::Serial,
-                None,
+                &mut Default::default(),
                 &mut rng,
             )
             .unwrap();

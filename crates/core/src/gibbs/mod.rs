@@ -21,9 +21,10 @@
 //! - [`shard`]: intra-trace sharding — fans each wave's draw-free
 //!   prepare phase out across worker threads, bit-identical to the
 //!   serial batched sweep at every shard count.
-//! - [`pool`]: the persistent wave-prepare worker pool — long-lived
-//!   threads parked on channels so sharded dispatch costs one enqueue
-//!   and one rendezvous per wave instead of a thread spawn.
+//! - `pool`: the persistent wave-prepare worker pool each sampler state
+//!   owns — long-lived threads parked on channels so sharded dispatch
+//!   costs one enqueue and one rendezvous per wave instead of a thread
+//!   spawn.
 //! - [`numeric`]: brute-force numerical conditionals used to validate the
 //!   closed forms in tests and benches.
 
@@ -32,7 +33,7 @@ pub mod batch;
 pub mod final_departure;
 pub(crate) mod kernel;
 pub mod numeric;
-pub mod pool;
+pub(crate) mod pool;
 pub mod reassign;
 pub mod shard;
 pub mod shift;

@@ -1,26 +1,34 @@
 //! Persistent worker pool for sharded wave preparation.
 //!
 //! [`crate::gibbs::shard`] fans each sufficiently large red-black wave's
-//! draw-free prepare phase out across worker threads. The scoped path
-//! spawns those workers fresh on every wave, which costs tens of
-//! microseconds of `clone(2)`/scheduler work per wave — pure overhead on
-//! traces whose sweeps run thousands of waves. This module amortizes it:
-//! a [`WavePool`] spawns its helper threads **once per chain run** and
-//! parks them on channels, so dispatching a wave is one enqueue per
-//! worker plus one rendezvous, and the calling thread still prepares
-//! chunk 0 itself exactly as the scoped path does.
+//! draw-free prepare phase out across worker threads. Those threads come
+//! from a [`WavePool`]: its helpers are spawned once and parked on
+//! channels, so dispatching a wave is one enqueue per worker plus one
+//! rendezvous, and the calling thread prepares chunk 0 itself. Spawning
+//! fresh threads per wave would cost tens of microseconds of
+//! `clone(2)`/scheduler work on traces whose sweeps run thousands of
+//! waves.
+//!
+//! # Ownership
+//!
+//! The sampler state owns its pool: a [`PoolSlot`] in the state's sweep
+//! scratch builds the pool on the first wave that fans out, keeps it
+//! for every later sweep, and rebuilds it only if the shard capacity
+//! changes. A cloned state starts with an empty slot (threads are not
+//! cloneable, and a clone must not share a rendezvous with its origin),
+//! and nothing in a slot is ever serialized. Dropping the state joins
+//! the helper threads.
 //!
 //! # Determinism
 //!
 //! The pool changes *scheduling only*. Workers run the same
-//! `prepare_chunk` (`crate::gibbs::batch`) over the same contiguous queue
-//! blocks produced by the same splitter as the scoped path, and the
-//! serial drain still performs every RNG draw on the chain's master
-//! stream. Hence the PR 4 contract extends verbatim: **every pool size,
-//! and pooled-vs-scoped dispatch, is bit-identical to the serial batched
-//! sweep** (pinned by `crates/core/tests/pool_gibbs.rs`). Errors are
-//! surfaced leader-first then in block order, so even the failure path
-//! is deterministic and matches the scoped path.
+//! `prepare_chunk` (`crate::gibbs::batch`) over the contiguous queue
+//! blocks produced by `shard::split_leader_rest`, and the serial drain
+//! still performs every RNG draw on the chain's master stream. Hence
+//! **every pool size is bit-identical to the serial batched sweep**
+//! (pinned by `crates/core/tests/shard_gibbs.rs`). Errors are surfaced
+//! leader-first then in block order, so even the failure path is
+//! deterministic.
 //!
 //! # Why there is `unsafe` here (and nowhere else in the crate)
 //!
@@ -49,31 +57,11 @@ use std::thread::JoinHandle;
 
 use crate::error::InferenceError;
 use crate::gibbs::batch::WaveBufs;
-use crate::gibbs::shard::ShardMode;
 use qni_model::log::EventLog;
-
-/// How sharded wave preparation schedules its worker threads.
-///
-/// Both modes produce bit-identical results (see the module docs);
-/// the mode only changes where the prepare threads come from, so it is
-/// excluded from checkpoint fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Long-lived pool threads parked on channels, spawned once per
-    /// chain run (the default): wave dispatch is one enqueue and one
-    /// rendezvous per worker.
-    #[default]
-    Pooled,
-    /// Scoped threads spawned fresh on every wave (the pre-pool
-    /// behaviour; kept as a fallback and as the reference for the
-    /// byte-identity tests).
-    Scoped,
-}
 
 /// A chunk's outcome as shipped back over the done channel: the outer
 /// layer carries a caught panic payload, the inner layer the prepare
-/// error, so the dispatcher can re-raise panics with the scoped path's
-/// exact precedence.
+/// error, so the dispatcher can re-raise panics in a fixed precedence.
 type ChunkResult = std::thread::Result<Result<(), InferenceError>>;
 
 /// One wave chunk, with its borrows erased so it can cross a channel to
@@ -147,25 +135,25 @@ struct Worker {
     handle: JoinHandle<()>,
 }
 
-/// A persistent pool of wave-prepare threads for one chain.
+/// A persistent pool of wave-prepare threads for one sampler state.
 ///
-/// Created once per chain run with the chain's shard capacity; every
-/// sharded wave is then dispatched through the pool at a cost
-/// of one enqueue and one rendezvous per worker instead of a thread
-/// spawn. See the module docs for the determinism and soundness
-/// contracts. Dropping the pool closes the job channels and joins every
-/// helper thread.
+/// Built by the state's [`PoolSlot`] with the chain's shard capacity;
+/// every sharded wave is then dispatched through the pool at a cost of
+/// one enqueue and one rendezvous per worker instead of a thread spawn.
+/// See the module docs for the determinism and soundness contracts.
+/// Dropping the pool closes the job channels and joins every helper
+/// thread.
 #[derive(Debug)]
-pub struct WavePool {
+pub(crate) struct WavePool {
     workers: Vec<Worker>,
 }
 
 impl WavePool {
     /// Creates a pool that can prepare waves on up to `capacity` threads
     /// *including the caller*: `capacity − 1` helper threads are spawned
-    /// now and parked on their job channels, mirroring how
-    /// `ShardMode::Sharded(n)` spawns only `n − 1` scoped workers.
-    pub fn new(capacity: usize) -> WavePool {
+    /// now and parked on their job channels, so `ShardMode::Sharded(n)`
+    /// occupies exactly `n` threads.
+    pub(crate) fn new(capacity: usize) -> WavePool {
         let helpers = capacity.max(1) - 1;
         let mut workers = Vec::with_capacity(helpers);
         for _ in 0..helpers {
@@ -193,18 +181,17 @@ impl WavePool {
     }
 
     /// Total prepare threads this pool can field, including the caller.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.workers.len() + 1
     }
 
     /// Prepares a wave on up to `workers` threads (capped at
-    /// [`WavePool::capacity`]): the wave is split into the same
-    /// contiguous queue blocks as the scoped path, chunks `1..` are
-    /// enqueued to the parked helpers, and the calling thread prepares
-    /// chunk 0 itself before rendezvousing with every helper it fed.
-    /// Results are bit-identical to inline preparation; errors and
-    /// panics surface leader-first then in block order, exactly like the
-    /// scoped path.
+    /// [`WavePool::capacity`]): the wave is split into contiguous queue
+    /// blocks, chunks `1..` are enqueued to the parked helpers, and the
+    /// calling thread prepares chunk 0 itself before rendezvousing with
+    /// every helper it fed. Results are bit-identical to inline
+    /// preparation; errors and panics surface leader-first then in block
+    /// order.
     pub(crate) fn dispatch(
         &mut self,
         log: &EventLog,
@@ -235,7 +222,7 @@ impl WavePool {
                 }
             });
         }
-        // The calling thread is worker 0, exactly as in the scoped path.
+        // The calling thread is worker 0.
         // Catching a leader panic here is load-bearing: the rendezvous
         // below must run even then, or an in-flight job would outlive
         // this frame (the soundness invariant in the module docs).
@@ -251,14 +238,14 @@ impl WavePool {
                 Slot::Sent => match self.workers[i].done_rx.recv() {
                     Ok(r) => r,
                     // The helper died without reporting — treat it like
-                    // a panicked scoped worker.
+                    // a panicked worker.
                     Err(_) => Err(Box::new("shard worker panicked")),
                 },
             });
         }
-        // Deterministic precedence, matching the scoped path: a leader
-        // panic unwinds first, then worker panics in block order, then
-        // the leader's error, then worker errors in block order.
+        // Deterministic precedence: a leader panic unwinds first, then
+        // worker panics in block order, then the leader's error, then
+        // worker errors in block order.
         let leader = match leader {
             Ok(r) => r,
             Err(payload) => resume_unwind(payload),
@@ -294,46 +281,27 @@ impl Drop for WavePool {
     }
 }
 
-/// A lazily-built set of per-chain [`WavePool`]s, keyed by the engine
-/// configuration that shaped them so long-lived owners (the streaming
-/// engine, watch sessions) can reuse pools across windows and rebuild
-/// them only when the chain count or shard capacity changes.
+/// A sampler state's lazily built [`WavePool`] (see the module docs).
+///
+/// Cloning yields an empty slot, so a cloned state builds its own pool
+/// on its first fan-out instead of sharing helper threads.
 #[derive(Debug, Default)]
-pub struct PoolSet {
-    pools: Vec<Option<WavePool>>,
-    /// `(chains, per-chain capacity)` the current pools were built for;
-    /// capacity 0 encodes "pools intentionally absent" (scoped dispatch
-    /// or a shard mode that never fans out).
-    key: Option<(usize, usize)>,
+pub(crate) struct PoolSlot(Option<WavePool>);
+
+impl Clone for PoolSlot {
+    fn clone(&self) -> Self {
+        PoolSlot(None)
+    }
 }
 
-impl PoolSet {
-    /// An empty set; pools are built on first [`PoolSet::ensure`].
-    pub fn new() -> PoolSet {
-        PoolSet::default()
-    }
-
-    /// Returns one pool slot per chain for the given configuration,
-    /// rebuilding the set only when the shape changed. Slots are `None`
-    /// when `dispatch` is [`DispatchMode::Scoped`] or when `shard` never
-    /// fans out, so callers can thread the slots through unconditionally.
-    pub fn ensure(
-        &mut self,
-        chains: usize,
-        shard: ShardMode,
-        dispatch: DispatchMode,
-    ) -> &mut [Option<WavePool>] {
-        let per_chain = shard.workers().max(1);
-        let pooled = dispatch == DispatchMode::Pooled && per_chain > 1;
-        let key = (chains, if pooled { per_chain } else { 0 });
-        if self.key != Some(key) {
-            self.pools.clear();
-            for _ in 0..chains {
-                self.pools.push(pooled.then(|| WavePool::new(per_chain)));
-            }
-            self.key = Some(key);
+impl PoolSlot {
+    /// The pool for `capacity` prepare threads: built on first use and
+    /// rebuilt only when `capacity` differs from the current pool's.
+    pub(crate) fn get(&mut self, capacity: usize) -> &mut WavePool {
+        if self.0.as_ref().map(WavePool::capacity) != Some(capacity) {
+            self.0 = Some(WavePool::new(capacity));
         }
-        &mut self.pools
+        self.0.get_or_insert_with(|| WavePool::new(capacity))
     }
 }
 
@@ -483,25 +451,20 @@ mod tests {
     }
 
     #[test]
-    fn pool_set_rebuilds_only_when_the_shape_changes() {
-        let mut set = PoolSet::new();
-        let slots = set.ensure(2, ShardMode::Sharded(3), DispatchMode::Pooled);
-        assert_eq!(slots.len(), 2);
-        assert!(slots.iter().all(|s| s.is_some()));
-        assert_eq!(slots[0].as_ref().map(WavePool::capacity), Some(3));
-        // Same shape: slots are reused, not rebuilt.
-        let again = set.ensure(2, ShardMode::Sharded(3), DispatchMode::Pooled);
-        assert!(again.iter().all(|s| s.is_some()));
-        // Scoped dispatch or a non-fanning shard mode yields empty slots.
-        let scoped = set.ensure(2, ShardMode::Sharded(3), DispatchMode::Scoped);
-        assert!(scoped.iter().all(|s| s.is_none()));
-        let serial = set.ensure(4, ShardMode::Serial, DispatchMode::Pooled);
-        assert_eq!(serial.len(), 4);
-        assert!(serial.iter().all(|s| s.is_none()));
-        // Back to pooled with a new chain count: rebuilt to match.
-        let rebuilt = set.ensure(3, ShardMode::Sharded(2), DispatchMode::Pooled);
-        assert_eq!(rebuilt.len(), 3);
-        assert!(rebuilt.iter().all(|s| s.is_some()));
-        assert_eq!(rebuilt[0].as_ref().map(WavePool::capacity), Some(2));
+    fn pool_slot_builds_lazily_and_rebuilds_only_on_capacity_change() {
+        let mut slot = PoolSlot::default();
+        assert!(slot.0.is_none(), "a new slot spawns no threads");
+        let first: *const WavePool = slot.get(3);
+        assert_eq!(slot.get(3).capacity(), 3);
+        // Same capacity: the pool is reused, not rebuilt.
+        assert!(std::ptr::eq(first, slot.get(3)));
+        // A clone starts empty instead of sharing the helpers.
+        assert!(slot.clone().0.is_none());
+        // A new capacity rebuilds the pool to match.
+        assert_eq!(slot.get(2).capacity(), 2);
+        // The slot keeps its owning state movable to chain threads,
+        // cloneable and printable.
+        fn owner_traits<T: Send + Clone + std::fmt::Debug>() {}
+        owner_traits::<crate::state::GibbsState>();
     }
 }

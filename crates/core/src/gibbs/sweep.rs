@@ -1,7 +1,6 @@
 //! Full Gibbs sweeps over all free variables.
 
 use crate::error::InferenceError;
-use crate::gibbs::pool::WavePool;
 use crate::gibbs::shard::ShardMode;
 use crate::state::GibbsState;
 use qni_model::ids::EventId;
@@ -22,16 +21,6 @@ pub struct SweepStats {
     /// Batched arrival moves that fell back to a live conditional rebuild
     /// because a groupmate invalidated their cached bounds.
     pub group_fallbacks: usize,
-}
-
-impl SweepStats {
-    fn absorb(&mut self, s: SweepStats) {
-        self.arrival_moves += s.arrival_moves;
-        self.final_moves += s.final_moves;
-        self.shift_moves += s.shift_moves;
-        self.arrival_groups += s.arrival_groups;
-        self.group_fallbacks += s.group_fallbacks;
-    }
 }
 
 /// How a sweep schedules its arrival moves.
@@ -74,81 +63,49 @@ pub(crate) enum Move {
 /// paper, see [`super::shift`]) dramatically improve mixing for tasks
 /// none of whose times are pinned by data.
 ///
-/// This is the scalar scheduler; see [`sweep_batched`] for the grouped
-/// variant and [`sweep_with_mode`] to pick one at runtime.
-pub fn sweep<R: Rng + ?Sized>(
+/// `mode` picks the arrival-move schedule:
+///
+/// - [`BatchMode::Grouped`]: one *group* item per queue, each resampled
+///   by `batch::resample_group` wave by wave, with every wave's prepare
+///   phase run under `shard` on the state's own worker pool (see
+///   [`crate::gibbs::shard`]). Sharding changes which threads compute
+///   the wave preparations, never the bytes they produce or the order
+///   the chain RNG is consumed in, so every [`ShardMode`] is
+///   bit-identical.
+/// - [`BatchMode::Scalar`]: one item per free arrival. It has no waves,
+///   so it ignores `shard` (option validation upstream rejects the
+///   combination so it cannot be requested silently).
+///
+/// When every group is a singleton the grouped schedule has the same
+/// length and item order as the scalar one, so shuffle and sampling
+/// consume the RNG identically and the two modes are bit-identical.
+pub fn sweep_with_opts<R: Rng + ?Sized>(
     state: &mut GibbsState,
+    mode: BatchMode,
+    shard: ShardMode,
     rng: &mut R,
 ) -> Result<SweepStats, InferenceError> {
-    state.ensure_move_shapes()?;
+    match mode {
+        BatchMode::Grouped => state.ensure_arrival_groups()?,
+        BatchMode::Scalar => state.ensure_move_shapes()?,
+    }
     let mut schedule = std::mem::take(&mut state.scratch.schedule);
     schedule.clear();
-    schedule.extend(state.free_arrivals.iter().map(|&e| Move::Arrival(e)));
+    match mode {
+        BatchMode::Grouped => {
+            schedule.extend((0..state.scratch.groups.len()).map(|gi| Move::Group(gi as u32)))
+        }
+        BatchMode::Scalar => schedule.extend(state.free_arrivals.iter().map(|&e| Move::Arrival(e))),
+    }
     extend_final_and_shift_moves(state, &mut schedule);
     schedule.shuffle(rng);
     let mut stats = SweepStats::default();
-    let result = run_schedule(state, &schedule, ShardMode::Serial, None, rng, &mut stats);
+    let result = run_schedule(state, &schedule, shard, rng, &mut stats);
     state.scratch.schedule = schedule;
     result?;
     debug_assert!(
         qni_model::constraints::validate(state.log()).is_ok(),
         "sweep corrupted constraints"
-    );
-    Ok(stats)
-}
-
-/// Performs one full sweep with same-queue arrival moves batched: the
-/// schedule holds one *group* item per queue (plus the usual final and
-/// shift moves), and each group is resampled by
-/// `batch::resample_group`.
-///
-/// When every group is a singleton the schedule has the same length and
-/// item order as [`sweep`]'s, so shuffle and sampling consume the RNG
-/// identically and the two sweeps are bit-identical.
-pub fn sweep_batched<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweep_batched_sharded(state, ShardMode::Serial, rng)
-}
-
-/// [`sweep_batched`] with each wave's prepare phase executed under
-/// `shard` (see [`crate::gibbs::shard`]). Bit-identical to
-/// [`sweep_batched`] for every [`ShardMode`]: sharding changes which
-/// threads compute the wave preparations, never the bytes they produce
-/// or the order the chain RNG is consumed in.
-pub fn sweep_batched_sharded<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    shard: ShardMode,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweep_batched_pooled(state, shard, None, rng)
-}
-
-/// [`sweep_batched_sharded`] with the wave preparations dispatched to a
-/// persistent [`WavePool`] instead of per-wave scoped spawns when
-/// `pool` is `Some`. The pool is a pure scheduling vehicle: results are
-/// bit-identical to the scoped and serial paths for every pool size
-/// (see [`crate::gibbs::pool`]).
-pub fn sweep_batched_pooled<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    shard: ShardMode,
-    pool: Option<&mut WavePool>,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    state.ensure_arrival_groups()?;
-    let mut schedule = std::mem::take(&mut state.scratch.schedule);
-    schedule.clear();
-    schedule.extend((0..state.scratch.groups.len()).map(|gi| Move::Group(gi as u32)));
-    extend_final_and_shift_moves(state, &mut schedule);
-    schedule.shuffle(rng);
-    let mut stats = SweepStats::default();
-    let result = run_schedule(state, &schedule, shard, pool, rng, &mut stats);
-    state.scratch.schedule = schedule;
-    result?;
-    debug_assert!(
-        qni_model::constraints::validate(state.log()).is_ok(),
-        "batched sweep corrupted constraints"
     );
     Ok(stats)
 }
@@ -178,51 +135,12 @@ pub(crate) fn validate_modes(batch: BatchMode, shard: ShardMode) -> Result<(), I
     Ok(())
 }
 
-/// Dispatches to [`sweep`] or [`sweep_batched`] by `mode`.
-pub fn sweep_with_mode<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweep_with_opts(state, mode, ShardMode::Serial, rng)
-}
-
-/// Dispatches by `mode` with the batched path's wave preparation run
-/// under `shard`. The scalar path has no waves to shard; it ignores
-/// `shard` (option validation upstream rejects the combination so it
-/// cannot be requested silently).
-pub fn sweep_with_opts<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    shard: ShardMode,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweep_with_opts_pooled(state, mode, shard, None, rng)
-}
-
-/// [`sweep_with_opts`] with an optional persistent [`WavePool`] for the
-/// batched path's wave preparation. `None` keeps the per-wave scoped
-/// dispatch; either way the bytes are identical.
-pub fn sweep_with_opts_pooled<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    shard: ShardMode,
-    pool: Option<&mut WavePool>,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    match mode {
-        BatchMode::Grouped => sweep_batched_pooled(state, shard, pool, rng),
-        BatchMode::Scalar => sweep(state, rng),
-    }
-}
-
 /// Executes a shuffled schedule against the state's log, without cloning
 /// the rate vector (split borrows of the state's fields).
 fn run_schedule<R: Rng + ?Sized>(
     state: &mut GibbsState,
     schedule: &[Move],
     shard: ShardMode,
-    mut pool: Option<&mut WavePool>,
     rng: &mut R,
     stats: &mut SweepStats,
 ) -> Result<(), InferenceError> {
@@ -237,6 +155,7 @@ fn run_schedule<R: Rng + ?Sized>(
         batch,
         shapes,
         kernel,
+        pool,
         ..
     } = scratch;
     for &mv in schedule {
@@ -262,7 +181,7 @@ fn run_schedule<R: Rng + ?Sized>(
                     &groups[gi as usize],
                     batch,
                     shard,
-                    pool.as_deref_mut(),
+                    pool,
                     rng,
                 )?;
                 stats.arrival_moves += g.moves;
@@ -272,42 +191,6 @@ fn run_schedule<R: Rng + ?Sized>(
         }
     }
     Ok(())
-}
-
-/// Runs `n` sweeps, returning cumulative statistics.
-pub fn sweeps<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    n: usize,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweeps_with_mode(state, BatchMode::Scalar, n, rng)
-}
-
-/// Runs `n` sweeps under the given [`BatchMode`], returning cumulative
-/// statistics.
-pub fn sweeps_with_mode<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    n: usize,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweeps_with_opts(state, mode, ShardMode::Serial, n, rng)
-}
-
-/// Runs `n` sweeps under the given [`BatchMode`] and [`ShardMode`],
-/// returning cumulative statistics.
-pub fn sweeps_with_opts<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    shard: ShardMode,
-    n: usize,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    let mut total = SweepStats::default();
-    for _ in 0..n {
-        total.absorb(sweep_with_opts(state, mode, shard, rng)?);
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -336,7 +219,8 @@ mod tests {
     fn sweep_counts_moves() {
         let mut st = state(0.3, 1);
         let mut rng = rng_from_seed(2);
-        let stats = sweep(&mut st, &mut rng).unwrap();
+        let stats =
+            sweep_with_opts(&mut st, BatchMode::Scalar, ShardMode::Serial, &mut rng).unwrap();
         assert_eq!(stats.arrival_moves, st.free_arrivals().len());
         assert_eq!(stats.final_moves, st.free_finals().len());
     }
@@ -346,7 +230,7 @@ mod tests {
         let mut st = state(0.1, 3);
         let mut rng = rng_from_seed(4);
         for _ in 0..25 {
-            sweep(&mut st, &mut rng).unwrap();
+            sweep_with_opts(&mut st, BatchMode::Scalar, ShardMode::Serial, &mut rng).unwrap();
             qni_model::constraints::validate(st.log()).unwrap();
         }
     }
@@ -361,7 +245,8 @@ mod tests {
         let masked = ObservationScheme::Full.apply(truth, &mut rng).unwrap();
         let mut st = GibbsState::new(&masked, vec![2.0, 5.0], InitStrategy::default()).unwrap();
         let before: Vec<f64> = st.log().event_ids().map(|e| st.log().arrival(e)).collect();
-        let stats = sweep(&mut st, &mut rng).unwrap();
+        let stats =
+            sweep_with_opts(&mut st, BatchMode::Scalar, ShardMode::Serial, &mut rng).unwrap();
         assert_eq!(stats.arrival_moves + stats.final_moves, 0);
         let after: Vec<f64> = st.log().event_ids().map(|e| st.log().arrival(e)).collect();
         assert_eq!(before, after);
@@ -387,7 +272,7 @@ mod tests {
             .map(|e| (e, st.log().arrival(e)))
             .collect();
         for _ in 0..10 {
-            sweep(&mut st, &mut rng).unwrap();
+            sweep_with_opts(&mut st, BatchMode::Scalar, ShardMode::Serial, &mut rng).unwrap();
         }
         for (e, a) in observed {
             assert_eq!(st.log().arrival(e), a, "observed arrival of {e} moved");
@@ -407,8 +292,13 @@ mod tests {
             .unwrap();
         let rates = bp.network.rates().unwrap();
         let mut st = GibbsState::new(&masked, rates, InitStrategy::default()).unwrap();
-        let stats = sweeps(&mut st, 5, &mut rng).unwrap();
-        assert!(stats.arrival_moves > 0);
+        let mut arrival_moves = 0;
+        for _ in 0..5 {
+            let stats =
+                sweep_with_opts(&mut st, BatchMode::Scalar, ShardMode::Serial, &mut rng).unwrap();
+            arrival_moves += stats.arrival_moves;
+        }
+        assert!(arrival_moves > 0);
         qni_model::constraints::validate(st.log()).unwrap();
     }
 
@@ -417,7 +307,8 @@ mod tests {
         let mut st = state(0.2, 21);
         let mut rng = rng_from_seed(22);
         for _ in 0..25 {
-            let stats = sweep_batched(&mut st, &mut rng).unwrap();
+            let stats =
+                sweep_with_opts(&mut st, BatchMode::Grouped, ShardMode::Serial, &mut rng).unwrap();
             assert_eq!(stats.arrival_moves, st.free_arrivals().len());
             assert_eq!(stats.final_moves, st.free_finals().len());
             assert!(stats.arrival_groups > 0);
@@ -454,8 +345,10 @@ mod tests {
         let mut ra = rng_from_seed(31);
         let mut rb = rng_from_seed(31);
         for _ in 0..20 {
-            let ss = sweep(&mut scalar, &mut ra).unwrap();
-            let sb = sweep_batched(&mut batched, &mut rb).unwrap();
+            let ss = sweep_with_opts(&mut scalar, BatchMode::Scalar, ShardMode::Serial, &mut ra)
+                .unwrap();
+            let sb = sweep_with_opts(&mut batched, BatchMode::Grouped, ShardMode::Serial, &mut rb)
+                .unwrap();
             assert_eq!(ss.arrival_moves, sb.arrival_moves);
             assert_eq!(sb.arrival_groups, 2);
             assert_eq!(sb.group_fallbacks, 0);
@@ -484,7 +377,7 @@ mod tests {
             let mut acc = 0.0;
             let n = 400;
             for _ in 0..n {
-                sweep_with_mode(&mut st, mode, &mut rng).unwrap();
+                sweep_with_opts(&mut st, mode, ShardMode::Serial, &mut rng).unwrap();
                 acc += st.log().queue_averages()[1].mean_service;
             }
             acc / n as f64
@@ -504,8 +397,8 @@ mod tests {
         let mut ra = rng_from_seed(10);
         let mut rb = rng_from_seed(10);
         for _ in 0..5 {
-            sweep(&mut a, &mut ra).unwrap();
-            sweep(&mut b, &mut rb).unwrap();
+            sweep_with_opts(&mut a, BatchMode::Scalar, ShardMode::Serial, &mut ra).unwrap();
+            sweep_with_opts(&mut b, BatchMode::Scalar, ShardMode::Serial, &mut rb).unwrap();
         }
         for e in a.log().event_ids() {
             assert_eq!(a.log().arrival(e), b.log().arrival(e));

@@ -3,6 +3,7 @@
 use crate::error::InferenceError;
 use crate::gibbs::batch::{BatchScratch, GroupStructure};
 use crate::gibbs::kernel::{KernelScratch, MoveShapes};
+use crate::gibbs::pool::PoolSlot;
 use crate::gibbs::sweep::Move;
 use crate::init::InitStrategy;
 use qni_model::ids::{EventId, QueueId, TaskId};
@@ -11,9 +12,10 @@ use qni_trace::MaskedLog;
 
 /// Reusable per-state working memory for [`crate::gibbs::sweep`]: the
 /// sweep schedule buffer, the per-queue arrival-move groups of the batched
-/// engine and its workspace, and the shape tables and kernel workspace of
-/// final-departure and shift moves. Everything here is *scratch* — it
-/// never affects sampler semantics, only allocation behavior.
+/// engine and its workspace, the shape tables and kernel workspace of
+/// final-departure and shift moves, and the wave-prepare worker pool of
+/// sharded sweeps. Everything here is *scratch* — it never affects
+/// sampler semantics, only allocation and thread scheduling.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SweepScratch {
     /// Reused schedule buffer (cleared and refilled each sweep).
@@ -38,6 +40,10 @@ pub(crate) struct SweepScratch {
     /// Allocation-free staging and density workspace of final-departure
     /// and shift moves.
     pub(crate) kernel: KernelScratch,
+    /// Persistent wave-prepare workers of sharded sweeps, built on the
+    /// first wave that fans out; a clone starts without one (see
+    /// [`crate::gibbs::pool`]).
+    pub(crate) pool: PoolSlot,
 }
 
 impl SweepScratch {
@@ -383,7 +389,8 @@ mod tests {
 
     #[test]
     fn structural_changes_rebuild_the_move_shapes() {
-        use crate::gibbs::sweep::sweep_batched;
+        use crate::gibbs::shard::ShardMode;
+        use crate::gibbs::sweep::{sweep_with_opts, BatchMode};
         use qni_model::topology::three_tier;
         // A two-server tier: reassignment moves events between servers
         // and rewires their ρ/ρ⁻¹ neighbours.
@@ -403,7 +410,7 @@ mod tests {
             .unwrap()
             .with_shiftable_tasks(tasks.clone());
         let mut rng = rng_from_seed(2);
-        sweep_batched(&mut state, &mut rng).unwrap();
+        sweep_with_opts(&mut state, BatchMode::Grouped, ShardMode::Serial, &mut rng).unwrap();
         let accepted = state
             .reassign_unknown(bp.network.fsm(), &unknown, &mut rng)
             .unwrap();
@@ -423,7 +430,12 @@ mod tests {
         }
         // A new shiftable list takes effect at the next sweep.
         let mut state = state.with_shiftable_tasks(Vec::new());
-        assert_eq!(sweep_batched(&mut state, &mut rng).unwrap().shift_moves, 0);
+        assert_eq!(
+            sweep_with_opts(&mut state, BatchMode::Grouped, ShardMode::Serial, &mut rng)
+                .unwrap()
+                .shift_moves,
+            0
+        );
     }
 
     #[test]

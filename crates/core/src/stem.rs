@@ -10,12 +10,18 @@
 //! point estimate µ̂ of the mean service times is available, an estimate
 //! of the waiting time can be obtained by running the Gibbs sampler with
 //! µ̂ fixed".
+//!
+//! [`run_stem`] is the single-chain entry point. Its loop body is shared
+//! with every chain of [`crate::chains::run_stem_parallel`] and every
+//! window fit of [`crate::stream`], which add warm-start targets. Each
+//! iteration calls [`crate::gibbs::sweep::sweep_with_opts`] on one
+//! [`GibbsState`], so a sharded run reuses that state's wave pool for
+//! all its sweeps (see `gibbs::pool`).
 
 use crate::error::InferenceError;
-use crate::gibbs::pool::{DispatchMode, WavePool};
 use crate::gibbs::shard::ShardMode;
-use crate::gibbs::sweep::{sweep_with_opts, sweep_with_opts_pooled, BatchMode};
-use crate::init::InitStrategy;
+use crate::gibbs::sweep::{sweep_with_opts, BatchMode};
+use crate::init::{InitStrategy, WarmTimes};
 use crate::mstep;
 use crate::state::GibbsState;
 use qni_trace::MaskedLog;
@@ -46,12 +52,6 @@ pub struct StemOptions {
     /// are bit-identical at every shard count (see
     /// [`crate::gibbs::shard`]). Requires [`BatchMode::Grouped`].
     pub shard: ShardMode,
-    /// Where sharded wave preparation gets its worker threads: a
-    /// persistent per-run [`crate::gibbs::pool::WavePool`] (default) or
-    /// per-wave scoped spawns. Pure scheduling knob — bytes are
-    /// identical either way — so it is excluded from checkpoint
-    /// fingerprints. Ignored when `shard` never fans out.
-    pub dispatch: DispatchMode,
 }
 
 impl Default for StemOptions {
@@ -64,7 +64,6 @@ impl Default for StemOptions {
             shift_moves: true,
             batch: BatchMode::default(),
             shard: ShardMode::default(),
-            dispatch: DispatchMode::default(),
         }
     }
 }
@@ -85,7 +84,6 @@ impl StemOptions {
             shift_moves: true,
             batch: BatchMode::default(),
             shard: ShardMode::default(),
-            dispatch: DispatchMode::default(),
         }
     }
 
@@ -141,42 +139,21 @@ pub fn run_stem<R: Rng + ?Sized>(
     opts: &StemOptions,
     rng: &mut R,
 ) -> Result<StemResult, InferenceError> {
-    run_stem_warm(masked, initial_rates, None, opts, rng)
+    run_chain(masked, initial_rates, None, opts, rng)
 }
 
-/// [`run_stem`] with optional warm-start initialization targets for the
-/// free times (see [`crate::init::WarmTimes`]). Warm targets only shape
+/// The StEM loop behind [`run_stem`] and every chain of
+/// [`crate::chains::run_stem_parallel`], with optional warm-start
+/// targets for the free times (see [`WarmTimes`]; the streaming engine
+/// passes the previous window's final state). Warm targets only shape
 /// the chain's *starting point* — the stationary distribution and every
 /// conditional are unchanged — so they buy faster burn-in on a log that
 /// overlaps a previously fitted one without biasing the estimate.
-pub fn run_stem_warm<R: Rng + ?Sized>(
+pub(crate) fn run_chain<R: Rng + ?Sized>(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
-    warm: Option<&crate::init::WarmTimes>,
+    warm: Option<&WarmTimes>,
     opts: &StemOptions,
-    rng: &mut R,
-) -> Result<StemResult, InferenceError> {
-    // Build the run's persistent pool up front (when the configuration
-    // can fan out at all) so every sharded wave of every sweep reuses
-    // the same parked workers instead of spawning fresh ones.
-    let mut pool = (opts.dispatch == DispatchMode::Pooled && opts.shard.workers() > 1)
-        .then(|| WavePool::new(opts.shard.workers()));
-    run_stem_warm_in_pool(masked, initial_rates, warm, opts, pool.as_mut(), rng)
-}
-
-/// [`run_stem_warm`] against a caller-owned [`WavePool`], so long-lived
-/// callers (the multi-chain engine, the streaming engine) can reuse one
-/// pool across many fits instead of spawning threads per run. `None`
-/// falls back to the per-wave dispatch selected by
-/// [`StemOptions::dispatch`]'s scoped path. Pool reuse is byte-neutral:
-/// two consecutive fits on one pool equal two fresh runs bit-for-bit
-/// (pinned by `crates/core/tests/pool_gibbs.rs`).
-pub fn run_stem_warm_in_pool<R: Rng + ?Sized>(
-    masked: &MaskedLog,
-    initial_rates: Option<&[f64]>,
-    warm: Option<&crate::init::WarmTimes>,
-    opts: &StemOptions,
-    mut pool: Option<&mut WavePool>,
     rng: &mut R,
 ) -> Result<StemResult, InferenceError> {
     opts.validate()?;
@@ -193,7 +170,7 @@ pub fn run_stem_warm_in_pool<R: Rng + ?Sized>(
     // the recorded trace row itself.
     let mut rates_buf = state.rates().to_vec();
     for _ in 0..opts.iterations {
-        sweep_with_opts_pooled(&mut state, opts.batch, opts.shard, pool.as_deref_mut(), rng)?;
+        sweep_with_opts(&mut state, opts.batch, opts.shard, rng)?;
         mstep::update_rates(&mut rates_buf, state.log())?;
         state.set_rates(&rates_buf)?;
         trace.push(rates_buf.clone());
@@ -217,7 +194,7 @@ pub fn run_stem_warm_in_pool<R: Rng + ?Sized>(
     let mut avgs = Vec::new();
     let sweeps = opts.waiting_sweeps.max(1);
     for _ in 0..sweeps {
-        sweep_with_opts_pooled(&mut state, opts.batch, opts.shard, pool.as_deref_mut(), rng)?;
+        sweep_with_opts(&mut state, opts.batch, opts.shard, rng)?;
         state.log().queue_averages_into(&mut avgs);
         for (i, avg) in avgs.iter().enumerate() {
             if avg.count > 0 {
@@ -311,8 +288,9 @@ pub fn run_mcem<R: Rng + ?Sized>(
         state.set_rates(&rates_buf)?;
         trace.push(rates_buf.clone());
     }
-    let rates = trace.last().expect("at least one iteration").clone(); // qni-lint: allow(QNI-E002) — StemOptions validation rejects iterations == 0
-                                                                       // Waiting estimation identical to StEM.
+    // The last M-step's rates (the trace's last row); waiting estimation
+    // is identical to StEM.
+    let rates = rates_buf;
     state.set_rates(&rates)?;
     let mut wait_acc = vec![0.0f64; q];
     let mut serv_acc = vec![0.0f64; q];

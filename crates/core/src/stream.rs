@@ -66,6 +66,14 @@
 //! deterministic bit content (everything except wall-clock times) for
 //! byte-identity tests.
 //!
+//! # Threads
+//!
+//! Each window is fitted by [`crate::chains::run_stem_parallel`]'s
+//! multi-chain body on fresh sampler states. With sharding on, every
+//! chain therefore builds its own wave pool per window (`shards − 1`
+//! helper threads, joined when the fit ends); no thread or pool
+//! outlives a window, and none enters [`EngineState`] or a checkpoint.
+//!
 //! # Examples
 //!
 //! ```
@@ -89,9 +97,8 @@
 //! assert!(traj.windows[0].rates[0] > 0.0);
 //! ```
 
-use crate::chains::{run_stem_parallel_warm_in_pools, ParallelStemOptions};
+use crate::chains::{run_chains, ParallelStemOptions};
 use crate::error::InferenceError;
-use crate::gibbs::pool::PoolSet;
 use crate::init::WarmTimes;
 use crate::stem::StemOptions;
 use qni_model::ids::{QueueId, StateId, TaskId};
@@ -452,12 +459,6 @@ pub struct StreamEngine {
     num_queues: usize,
     prev: Option<PrevWindow>,
     windows: Vec<WindowEstimate>,
-    /// Per-chain persistent wave-prepare pools, reused across every
-    /// pushed window (built lazily on the first fit that shards).
-    /// Runtime-only scheduling state: never serialized into
-    /// [`EngineState`], rebuilt on restore, and byte-neutral to
-    /// results (see [`crate::gibbs::pool`]).
-    pools: PoolSet,
 }
 
 impl StreamEngine {
@@ -480,7 +481,6 @@ impl StreamEngine {
             num_queues,
             prev: None,
             windows: Vec::new(),
-            pools: PoolSet::new(),
         })
     }
 
@@ -567,12 +567,11 @@ impl StreamEngine {
             master_seed: split_seed(self.opts.master_seed, window.index as u64),
             thread_budget: self.opts.thread_budget,
         };
-        let mut r = run_stem_parallel_warm_in_pools(
+        let mut r = run_chains(
             window.masked(),
             initial_rates.as_deref(),
             warm.as_ref(),
             &popts,
-            &mut self.pools,
         )?;
         let free =
             window.masked().free_arrivals().len() + window.masked().free_final_departures().len();

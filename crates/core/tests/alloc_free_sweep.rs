@@ -10,9 +10,9 @@
 //! nothing. It lives in its own binary so the allocator sees no other
 //! test.
 
-use qni_core::gibbs::sweep::sweep_batched;
+use qni_core::gibbs::sweep::sweep_with_opts;
 use qni_core::init::InitStrategy;
-use qni_core::GibbsState;
+use qni_core::{BatchMode, GibbsState, ShardMode};
 use qni_model::topology::three_tier;
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::rng_from_seed;
@@ -108,9 +108,12 @@ fn grouped_sweeps_allocate_nothing_after_warm_up() {
     );
 
     let mut rng = rng_from_seed(8);
-    sweep_batched(&mut state, &mut rng).expect("warm-up sweep");
+    sweep_with_opts(&mut state, BatchMode::Grouped, ShardMode::Serial, &mut rng)
+        .expect("warm-up sweep");
     for i in 0..5 {
-        let (stats, allocations) = allocations_in(|| sweep_batched(&mut state, &mut rng));
+        let (stats, allocations) = allocations_in(|| {
+            sweep_with_opts(&mut state, BatchMode::Grouped, ShardMode::Serial, &mut rng)
+        });
         let stats = stats.expect("sweep");
         assert!(stats.shift_moves > 0 && stats.final_moves > 0 && stats.arrival_groups > 0);
         assert_eq!(allocations, 0, "sweep {i} allocated {allocations} times");

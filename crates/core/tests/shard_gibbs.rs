@@ -5,16 +5,18 @@
 //! sharded sweep must be **byte-identical** to the serial batched sweep
 //! — same logs, same estimates, same RNG consumption, same deferred
 //! (conflict-fallback) counts. These tests pin that contract at three
-//! levels: raw sweeps (property test across topologies), a constructed
+//! levels: raw sweeps (property test across topologies, and waves large
+//! enough to dispatch to the sampler state's wave pool), a constructed
 //! π-coupling whose deferred-move count is known exactly, and full
-//! `run_stem` runs at seed 7.
+//! `run_stem`, `run_mcem` and `posterior_summaries` runs.
 
 use proptest::prelude::*;
 use qni_core::chains::{run_stem_parallel, ParallelStemOptions};
 use qni_core::gibbs::shard::MIN_EVENTS_PER_WORKER;
-use qni_core::gibbs::sweep::{sweep_batched_sharded, SweepStats};
+use qni_core::gibbs::sweep::{sweep_with_opts, SweepStats};
 use qni_core::init::InitStrategy;
-use qni_core::stem::{run_stem, StemOptions};
+use qni_core::posterior::{posterior_summaries, PosteriorOptions};
+use qni_core::stem::{run_mcem, run_stem, McemOptions, StemOptions, StemResult};
 use qni_core::{BatchMode, GibbsState, ShardMode};
 use qni_model::ids::{QueueId, StateId};
 use qni_model::log::EventLogBuilder;
@@ -65,10 +67,14 @@ fn run_sweeps(
     let mut st = state_of(masked);
     let mut rng = rng_from_seed(sweep_seed);
     let stats = (0..n)
-        .map(|_| sweep_batched_sharded(&mut st, shard, &mut rng).expect("sweep"))
+        .map(|_| sweep_with_opts(&mut st, BatchMode::Grouped, shard, &mut rng).expect("sweep"))
         .collect();
-    let bits = st
-        .log()
+    (stats, log_bits(&st))
+}
+
+/// The (arrival, departure) bit patterns of a state's log.
+fn log_bits(st: &GibbsState) -> Vec<(u64, u64)> {
+    st.log()
         .event_ids()
         .map(|e| {
             (
@@ -76,8 +82,34 @@ fn run_sweeps(
                 st.log().departure(e).to_bits(),
             )
         })
-        .collect();
-    (stats, bits)
+        .collect()
+}
+
+/// Every float a StEM/MCEM result reports, as bits.
+fn result_bits(r: &StemResult) -> Vec<u64> {
+    r.rate_trace
+        .iter()
+        .flatten()
+        .chain(&r.rates)
+        .chain(&r.mean_waiting)
+        .chain(&r.sampled_service)
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+/// An M/M/1 trace whose single queue has waves well past
+/// `2 × MIN_EVENTS_PER_WORKER` members, so sharded sweeps really
+/// dispatch to the state's wave pool.
+fn large_wave_masked() -> MaskedLog {
+    let masked = masked(0, 10 * MIN_EVENTS_PER_WORKER, 0.05, 9);
+    let free = masked.free_arrivals().len();
+    // Red-black waves split the queue's free arrivals by parity, so a
+    // full 4-worker fan-out needs ≥ 8 × MIN_EVENTS_PER_WORKER of them.
+    assert!(
+        free >= 8 * MIN_EVENTS_PER_WORKER,
+        "workload too small to exercise worker fan-out: {free} free arrivals"
+    );
+    masked
 }
 
 proptest! {
@@ -105,19 +137,10 @@ proptest! {
 }
 
 /// Waves large enough to actually fan out across worker threads stay
-/// byte-identical: an M/M/1 trace whose single queue has waves well past
-/// `2 × MIN_EVENTS_PER_WORKER` members.
+/// byte-identical.
 #[test]
 fn large_waves_fan_out_and_stay_byte_identical() {
-    let tasks = 10 * MIN_EVENTS_PER_WORKER;
-    let masked = masked(0, tasks, 0.05, 9);
-    let free = masked.free_arrivals().len();
-    // Red-black waves split the queue's free arrivals by parity, so a
-    // full 4-worker fan-out needs ≥ 8 × MIN_EVENTS_PER_WORKER of them.
-    assert!(
-        free >= 8 * MIN_EVENTS_PER_WORKER,
-        "workload too small to exercise worker fan-out: {free} free arrivals"
-    );
+    let masked = large_wave_masked();
     let (base_stats, base_bits) = run_sweeps(&masked, ShardMode::Serial, 11, 2);
     for shards in [2usize, 4] {
         let (stats, bits) = run_sweeps(&masked, ShardMode::Sharded(shards), 11, 2);
@@ -160,7 +183,8 @@ fn constructed_pi_coupling_pins_deferred_count() {
             .expect("state");
         let mut rng = rng_from_seed(13);
         for _ in 0..5 {
-            let stats = sweep_batched_sharded(&mut st, shard, &mut rng).expect("sweep");
+            let stats =
+                sweep_with_opts(&mut st, BatchMode::Grouped, shard, &mut rng).expect("sweep");
             assert_eq!(stats.arrival_moves, 3);
             assert_eq!(stats.arrival_groups, 1);
             assert_eq!(
@@ -174,7 +198,9 @@ fn constructed_pi_coupling_pins_deferred_count() {
 
 /// The run_stem-level pin at seed 7: `--shards 1` and shards = N are
 /// byte-identical to the default batched StEM run — rate trace, point
-/// estimates, and waiting times.
+/// estimates, and waiting times. Short `run_stem`, `run_mcem` and
+/// `posterior_summaries` runs on the large-wave trace, whose waves
+/// dispatch to each state's wave pool, equal their serial runs too.
 #[test]
 fn run_stem_seed7_is_byte_identical_at_every_shard_count() {
     let masked = masked(1, 60, 0.25, 7);
@@ -217,6 +243,71 @@ fn run_stem_seed7_is_byte_identical_at_every_shard_count() {
                 "estimate diverged at shards={shards}"
             );
         }
+    }
+    let large = large_wave_masked();
+    let stem = |shard: ShardMode| {
+        let opts = StemOptions {
+            iterations: 2,
+            burn_in: 1,
+            waiting_sweeps: 1,
+            shard,
+            ..StemOptions::quick_test()
+        };
+        let mut rng = rng_from_seed(7);
+        result_bits(&run_stem(&large, None, &opts, &mut rng).expect("stem"))
+    };
+    let mcem = |shard: ShardMode| {
+        let opts = McemOptions {
+            outer_iterations: 2,
+            inner_sweeps: 2,
+            shard,
+            ..McemOptions::default()
+        };
+        let mut rng = rng_from_seed(7);
+        result_bits(&run_mcem(&large, None, &opts, &mut rng).expect("mcem"))
+    };
+    let posterior = |shard: ShardMode| {
+        let opts = PosteriorOptions {
+            burn_in: 1,
+            samples: 3,
+            shard,
+            ..PosteriorOptions::default()
+        };
+        let mut st = state_of(&large);
+        let mut rng = rng_from_seed(7);
+        let summaries = posterior_summaries(&mut st, &opts, &mut rng).expect("posterior");
+        let bits: Vec<u64> = summaries
+            .iter()
+            .flat_map(|p| {
+                let (s, w) = (p.service_ci, p.waiting_ci);
+                [p.service_mean, s.0, s.1, p.waiting_mean, w.0, w.1]
+            })
+            .map(f64::to_bits)
+            .collect();
+        (bits, log_bits(&st))
+    };
+    let (base_stem, base_mcem, base_post) = (
+        stem(ShardMode::Serial),
+        mcem(ShardMode::Serial),
+        posterior(ShardMode::Serial),
+    );
+    for shards in [2usize, 4] {
+        let shard = ShardMode::Sharded(shards);
+        assert_eq!(
+            stem(shard),
+            base_stem,
+            "run_stem diverged at shards={shards}"
+        );
+        assert_eq!(
+            mcem(shard),
+            base_mcem,
+            "run_mcem diverged at shards={shards}"
+        );
+        assert_eq!(
+            posterior(shard),
+            base_post,
+            "posterior_summaries diverged at shards={shards}"
+        );
     }
 }
 

@@ -26,6 +26,16 @@ pub enum TraceError {
     Io(std::io::Error),
     /// A serialization error.
     Serde(serde_json::Error),
+    /// Trace task ids do not run densely from 0: some id below the
+    /// largest has no records.
+    TaskIdGap {
+        /// The missing task id, or a record's id too large for the
+        /// record count to fill every id below it.
+        task: usize,
+        /// 1-based position of the record claiming `task`, when that id
+        /// is too large; `None` when `task` itself has no records.
+        record: Option<usize>,
+    },
     /// Mask and log shapes disagree.
     ShapeMismatch {
         /// Expected number of events.
@@ -90,6 +100,18 @@ impl fmt::Display for TraceError {
             }
             TraceError::Io(e) => write!(f, "I/O error: {e}"),
             TraceError::Serde(e) => write!(f, "serialization error: {e}"),
+            TraceError::TaskIdGap {
+                task,
+                record: Some(record),
+            } => write!(
+                f,
+                "record {record} has task id {task}, which leaves a gap: \
+                 task ids must run densely from 0"
+            ),
+            TraceError::TaskIdGap { task, record: None } => write!(
+                f,
+                "task id {task} has no records: task ids must run densely from 0"
+            ),
             TraceError::ShapeMismatch { expected, actual } => {
                 write!(f, "mask covers {actual} events, log has {expected}")
             }

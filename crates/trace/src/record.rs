@@ -56,13 +56,22 @@ pub fn read_jsonl<R: BufRead>(r: R) -> Result<Vec<TraceRecord>, TraceError> {
 ///
 /// Records must describe complete tasks (each task's events contiguous in
 /// task order, starting with its `q0` initial event), which is how
-/// [`write_jsonl`] emits them.
+/// [`write_jsonl`] emits them. Task ids must run densely from 0; a gap
+/// fails with [`TraceError::TaskIdGap`]. Every task has at least one
+/// record, so an id at or above the record count always leaves a gap
+/// and is rejected before anything is allocated for it.
 pub fn from_records(records: &[TraceRecord], num_queues: usize) -> Result<MaskedLog, TraceError> {
     use qni_model::log::EventLogBuilder;
     // Group by task preserving order.
     let mut by_task: Vec<Vec<&TraceRecord>> = Vec::new();
-    for rec in records {
+    for (pos, rec) in records.iter().enumerate() {
         let idx = rec.event.task.index();
+        if idx >= records.len() {
+            return Err(TraceError::TaskIdGap {
+                task: idx,
+                record: Some(pos + 1),
+            });
+        }
         if by_task.len() <= idx {
             by_task.resize_with(idx + 1, Vec::new);
         }
@@ -75,7 +84,10 @@ pub fn from_records(records: &[TraceRecord], num_queues: usize) -> Result<Masked
         .unwrap_or(qni_model::ids::StateId(0));
     let mut builder = EventLogBuilder::new(num_queues, initial_state);
     let mut flags: Vec<(bool, bool)> = Vec::with_capacity(records.len());
-    for recs in &by_task {
+    for (task, recs) in by_task.iter().enumerate() {
+        if recs.is_empty() {
+            return Err(TraceError::TaskIdGap { task, record: None });
+        }
         let initial =
             recs.iter()
                 .find(|r| r.event.is_initial())
@@ -187,6 +199,39 @@ mod tests {
         text.push_str("\n\n");
         let records = read_jsonl(std::io::Cursor::new(text.as_bytes())).unwrap();
         assert_eq!(records.len(), ml.ground_truth().num_events());
+    }
+
+    #[test]
+    fn task_id_gaps_are_typed_errors_naming_the_id() {
+        let ml = masked();
+        let mut records = to_records(ml.ground_truth(), ml.mask());
+        let n = records.len();
+        // A claimed id far past the record count fails before `by_task`
+        // grows to it, naming the id and the record's position.
+        let mut huge = records.clone();
+        huge[n - 1].event.task = qni_model::ids::TaskId(4_000_000_000);
+        let err = from_records(&huge, 3).unwrap_err();
+        assert!(matches!(
+            err,
+            TraceError::TaskIdGap {
+                task: 4_000_000_000,
+                record: Some(r)
+            } if r == n
+        ));
+        let msg = err.to_string();
+        assert!(msg.contains("task id 4000000000"), "{msg}");
+        assert!(msg.contains(&format!("record {n}")), "{msg}");
+        // Shifting the last task up by one leaves its old id empty.
+        let last = records[n - 1].event.task;
+        for r in records.iter_mut().filter(|r| r.event.task == last) {
+            r.event.task = qni_model::ids::TaskId(last.0 + 1);
+        }
+        let err = from_records(&records, 3).unwrap_err();
+        assert!(matches!(
+            err,
+            TraceError::TaskIdGap { task, record: None } if task == last.index()
+        ));
+        assert!(err.to_string().contains(&format!("task id {}", last.0)));
     }
 
     #[test]

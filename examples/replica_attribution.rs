@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example replica_attribution`
 
-use qni::inference::gibbs::sweep::sweep;
+use qni::inference::gibbs::sweep::sweep_with_opts;
 use qni::inference::init::InitStrategy;
 use qni::prelude::*;
 
@@ -58,7 +58,7 @@ fn main() {
     for it in 0..sweeps {
         // Times are fully observed, so the time sweep is a no-op; kept to
         // show the general joint-update pattern.
-        sweep(&mut state, &mut rng).expect("sweep");
+        sweep_with_opts(&mut state, BatchMode::Scalar, ShardMode::Serial, &mut rng).expect("sweep");
         accepted += state
             .reassign_unknown(&fsm, &unknown, &mut rng)
             .expect("reassign");

@@ -12,7 +12,7 @@
 //! dependency); every subcommand prints `--help`-style usage on error.
 
 use qni::prelude::*;
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -64,16 +64,15 @@ USAGE:
                [--observe 0.1] [--seed 1] --out trace.jsonl
   qni infer    --trace trace.jsonl [--iterations 200] [--burn-in N]
                [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--dispatch pooled|scoped] [--threads N]
+               [--threads N]
   qni localize --trace trace.jsonl [--iterations 200] [--burn-in N]
                [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--dispatch pooled|scoped] [--threads N]
+               [--threads N]
   qni stream   --trace trace.jsonl --window W --stride S
                [--warm-start on|off] [--warm-burn-in B]
                [--occupancy-carry on|off] [--iterations 200] [--burn-in N]
                [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--dispatch pooled|scoped] [--threads N]
-               [--out traj.csv] [--json traj.json]
+               [--threads N] [--out traj.csv] [--json traj.json]
   qni watch    --trace trace.jsonl --window W --stride S --queues Q
                [--poll-ms 50] [--idle-polls 40] [--max-lag-strides L]
                [--max-resident R] [--checkpoint cp.json] [--checkpoint-every 1]
@@ -81,13 +80,45 @@ USAGE:
                [--warm-start on|off] [--warm-burn-in B]
                [--occupancy-carry on|off] [--iterations 200] [--burn-in N]
                [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--dispatch pooled|scoped] [--threads N]
-               [--out traj.csv] [--json traj.json]
+               [--threads N] [--out traj.csv] [--json traj.json]
   qni volume   --tasks-per-day N --events-per-task M [--fraction 0.01]
   qni lint     [--json] [--sarif FILE] [path-prefix ...]";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut map = HashMap::new();
+/// `--key value` flags that remember which keys a command read, so a
+/// flag no command reads is an error instead of being silently ignored.
+struct Flags {
+    /// Flags in command-line order.
+    values: Vec<(String, String)>,
+    /// Whether each entry of `values` has been read.
+    read: Vec<Cell<bool>>,
+}
+
+impl Flags {
+    /// The value of `--key` (the last one if repeated), marking the key
+    /// as read.
+    fn get(&self, key: &str) -> Option<&String> {
+        let mut found = None;
+        for ((k, v), read) in self.values.iter().zip(&self.read) {
+            if k == key {
+                read.set(true);
+                found = Some(v);
+            }
+        }
+        found
+    }
+
+    /// Fails on the first flag no [`Flags::get`] has read. Commands call
+    /// this once every flag is parsed, before doing any work.
+    fn reject_unread(&self) -> Result<(), String> {
+        match self.values.iter().zip(&self.read).find(|(_, r)| !r.get()) {
+            Some(((k, _), _)) => Err(format!("unknown flag --{k}")),
+            None => Ok(()),
+        }
+    }
+}
+
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    let mut values = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
@@ -96,27 +127,28 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("flag --{key} needs a value"))?;
-        map.insert(key.to_owned(), value.clone());
+        values.push((key.to_owned(), value.clone()));
         i += 2;
     }
-    Ok(map)
+    let read = values.iter().map(|_| Cell::new(false)).collect();
+    Ok(Flags { values, read })
 }
 
-fn get_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+fn get_f64(flags: &Flags, key: &str, default: f64) -> Result<f64, String> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{key}: bad number `{v}`")),
     }
 }
 
-fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
+fn get_usize(flags: &Flags, key: &str, default: usize) -> Result<usize, String> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer `{v}`")),
     }
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let tiers: Vec<usize> = flags
         .get("tiers")
         .ok_or("simulate requires --tiers (e.g. 1,2,4)")?
@@ -129,6 +161,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     let observe = get_f64(flags, "observe", 0.1)?;
     let seed = get_usize(flags, "seed", 1)? as u64;
     let out = flags.get("out").ok_or("simulate requires --out FILE")?;
+    flags.reject_unread()?;
 
     let bp =
         qni::model::topology::three_tier(lambda, mu, &tiers, false).map_err(|e| e.to_string())?;
@@ -155,8 +188,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn load_masked(flags: &HashMap<String, String>) -> Result<MaskedLog, String> {
-    let path = flags.get("trace").ok_or("requires --trace FILE")?;
+fn load_masked(path: &str) -> Result<MaskedLog, String> {
     let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
     let records =
         qni::trace::record::read_jsonl(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
@@ -179,11 +211,8 @@ struct EngineFlags {
 
 /// Parses and validates the shared engine flags (`--iterations`,
 /// `--burn-in`, `--seed`, `--chains`, `--batch`, `--shards`,
-/// `--dispatch`, `--threads`).
-fn parse_engine_flags(
-    flags: &HashMap<String, String>,
-    waiting_sweeps: usize,
-) -> Result<EngineFlags, String> {
+/// `--threads`).
+fn parse_engine_flags(flags: &Flags, waiting_sweeps: usize) -> Result<EngineFlags, String> {
     let iterations = get_usize(flags, "iterations", 200)?;
     let burn_in = get_usize(flags, "burn-in", iterations / 2)?;
     let seed = get_usize(flags, "seed", 2)? as u64;
@@ -210,18 +239,6 @@ fn parse_engine_flags(
     } else {
         ShardMode::Sharded(shards)
     };
-    // Where sharded waves get their worker threads: a persistent
-    // per-chain pool (default) or per-wave scoped spawns. Byte-neutral
-    // either way — the pool only amortizes thread-spawn cost.
-    let dispatch = match flags.get("dispatch").map(String::as_str) {
-        None | Some("pooled") => DispatchMode::Pooled,
-        Some("scoped") => DispatchMode::Scoped,
-        Some(v) => {
-            return Err(format!(
-                "--dispatch: expected `pooled` or `scoped`, got `{v}`"
-            ))
-        }
-    };
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = get_usize(flags, "threads", host_threads.max(chains))?;
     if threads == 0 {
@@ -240,7 +257,6 @@ fn parse_engine_flags(
         waiting_sweeps,
         batch,
         shard,
-        dispatch,
         ..StemOptions::default()
     };
     // Catches an empty kept-sample window (--burn-in >= --iterations) up
@@ -255,8 +271,8 @@ fn parse_engine_flags(
     })
 }
 
-fn cmd_infer(flags: &HashMap<String, String>, localize_report: bool) -> Result<(), String> {
-    let masked = load_masked(flags)?;
+fn cmd_infer(flags: &Flags, localize_report: bool) -> Result<(), String> {
+    let path = flags.get("trace").ok_or("requires --trace FILE")?;
     let EngineFlags {
         opts,
         chains,
@@ -264,6 +280,8 @@ fn cmd_infer(flags: &HashMap<String, String>, localize_report: bool) -> Result<(
         shards,
         threads,
     } = parse_engine_flags(flags, 20)?;
+    flags.reject_unread()?;
+    let masked = load_masked(path)?;
     // Every chain count (including 1) routes through the parallel engine,
     // so diagnostics are always reported and every run uses the same
     // seed-derivation scheme (chain k draws from split_seed(seed, k); to
@@ -326,7 +344,7 @@ fn cmd_infer(flags: &HashMap<String, String>, localize_report: bool) -> Result<(
 }
 
 /// Shared `--warm-burn-in B` parsing for `stream` and `watch`.
-fn parse_warm_burn_in(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
+fn parse_warm_burn_in(flags: &Flags) -> Result<Option<usize>, String> {
     match flags.get("warm-burn-in") {
         None => Ok(None),
         Some(v) => v
@@ -337,7 +355,7 @@ fn parse_warm_burn_in(flags: &HashMap<String, String>) -> Result<Option<usize>, 
 }
 
 /// Shared `--occupancy-carry on|off` parsing for `stream` and `watch`.
-fn parse_occupancy_carry(flags: &HashMap<String, String>) -> Result<bool, String> {
+fn parse_occupancy_carry(flags: &Flags) -> Result<bool, String> {
     match flags.get("occupancy-carry").map(String::as_str) {
         None | Some("on") => Ok(true),
         Some("off") => Ok(false),
@@ -347,8 +365,8 @@ fn parse_occupancy_carry(flags: &HashMap<String, String>) -> Result<bool, String
     }
 }
 
-fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
-    let masked = load_masked(flags)?;
+fn cmd_stream(flags: &Flags) -> Result<(), String> {
+    let path = flags.get("trace").ok_or("requires --trace FILE")?;
     let width: f64 = flags
         .get("window")
         .ok_or("stream requires --window W")?
@@ -391,6 +409,9 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
         occupancy_carry: parse_occupancy_carry(flags)?,
         clock: Some(monotonic_secs),
     };
+    let (csv_path, json_path) = (flags.get("out"), flags.get("json"));
+    flags.reject_unread()?;
+    let masked = load_masked(path)?;
     let traj = run_stream(&masked, &schedule, &sopts).map_err(|e| e.to_string())?;
     println!(
         "streaming over {} window(s) (width {width}, stride {stride}, warm-start {}, \
@@ -430,13 +451,13 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
             .collect();
         println!("µ̂ q{q}: [{}]", series.join(", "));
     }
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = csv_path {
         let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
         traj.to_csv(std::io::BufWriter::new(file))
             .map_err(|e| e.to_string())?;
         eprintln!("wrote trajectory CSV to {path}");
     }
-    if let Some(path) = flags.get("json") {
+    if let Some(path) = json_path {
         let json = serde_json::to_string(&traj).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         eprintln!("wrote trajectory JSON to {path}");
@@ -459,7 +480,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
 /// the same command resumes from it bit-identically. `--follow-rotations
 /// on` survives copytruncate log rotation, and `--max-bad-lines N`
 /// quarantines up to N malformed lines before hard-failing.
-fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_watch(flags: &Flags) -> Result<(), String> {
     let path = flags.get("trace").ok_or("watch requires --trace FILE")?;
     let width: f64 = flags
         .get("window")
@@ -553,6 +574,9 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
         },
         max_bad_lines,
     };
+    let out_path = flags.get("out").cloned();
+    let json_path = flags.get("json");
+    flags.reject_unread()?;
     // Resume-if-exists: a present checkpoint file continues the
     // interrupted stream (bit-identically); an absent one starts fresh.
     let existing = checkpoint_path
@@ -583,7 +607,6 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
         "{:<7} {:>16} {:>7} {:>10} {:>12} {:>10} {:>8}",
         "window", "span", "tasks", "λ̂", "max split-R̂", "min ESS", "lag"
     );
-    let out_path = flags.get("out").cloned();
     // No external signal-handling dependency: the stop flag stays the
     // library-level shutdown hook for embedders; the CLI terminates via
     // the idle-poll budget (or a gate violation raising the flag below).
@@ -711,7 +734,7 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         eprintln!("wrote trajectory CSV to {p}");
     }
-    if let Some(p) = flags.get("json") {
+    if let Some(p) = json_path {
         let json = serde_json::to_string(&traj).map_err(|e| e.to_string())?;
         std::fs::write(p, json).map_err(|e| e.to_string())?;
         eprintln!("wrote trajectory JSON to {p}");
@@ -841,7 +864,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_volume(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_volume(flags: &Flags) -> Result<(), String> {
     use qni::trace::volume::{human_bytes, DeploymentVolume, RecordCost};
     let tasks_per_day = get_usize(flags, "tasks-per-day", 0)? as u64;
     let events_per_task = get_usize(flags, "events-per-task", 0)? as u64;
@@ -849,6 +872,7 @@ fn cmd_volume(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("volume requires --tasks-per-day and --events-per-task".into());
     }
     let fraction = get_f64(flags, "fraction", 0.01)?;
+    flags.reject_unread()?;
     let v = DeploymentVolume {
         tasks_per_day,
         events_per_task,

@@ -427,107 +427,78 @@ fn shards_flag_is_byte_identical_and_validated() {
 }
 
 #[test]
-fn dispatch_flag_is_byte_identical_and_validated() {
-    let dir = std::env::temp_dir().join("qni-cli-dispatch-test");
+fn unknown_flags_are_rejected_before_any_work() {
+    let dir = std::env::temp_dir().join("qni-cli-unknown-flag-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let trace = dir.join("trace.jsonl");
+    let path = trace.to_str().expect("utf8 path");
+    let simulate = |extra: &[&str]| {
+        let mut args = vec!["simulate", "--tiers", "1", "--tasks", "30", "--out", path];
+        args.extend_from_slice(extra);
+        qni().args(&args).output().expect("run simulate")
+    };
+    // A misspelled flag fails instead of running with the default, and
+    // fails before the command writes anything.
+    let _ = std::fs::remove_file(&trace);
+    let out = simulate(&["--task", "40"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --task"), "stderr: {stderr}");
+    assert!(!trace.exists(), "simulate wrote a trace despite a bad flag");
+    assert!(simulate(&[]).status.success());
+    // `--iteration 500` would otherwise silently run the default 200
+    // iterations, and the removed `--dispatch` must not be ignored.
+    for (flag, value) in [("--iteration", "500"), ("--dispatch", "scoped")] {
+        for cmd in ["infer", "stream"] {
+            let mut args = vec![cmd, "--trace", path, "--iterations", "30"];
+            if cmd == "stream" {
+                args.extend(["--window", "10", "--stride", "5"]);
+            }
+            args.extend([flag, value]);
+            let out = qni().args(&args).output().expect("run with unknown flag");
+            assert!(!out.status.success(), "{cmd} accepted {flag}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("unknown flag {flag}")),
+                "{cmd} {flag}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn infer_rejects_a_task_id_gap_with_a_typed_error() {
+    let dir = std::env::temp_dir().join("qni-cli-task-gap-test");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let trace = dir.join("trace.jsonl");
     let out = qni()
         .args([
             "simulate",
             "--tiers",
-            "1,1",
-            "--lambda",
-            "4",
-            "--mu",
-            "6",
+            "1",
             "--tasks",
-            "100",
-            "--observe",
-            "0.2",
-            "--seed",
-            "9",
+            "30",
             "--out",
             trace.to_str().expect("utf8 path"),
         ])
         .output()
         .expect("run simulate");
     assert!(out.status.success());
-
-    // Wave dispatch is a pure scheduling knob: the persistent pool
-    // (default), an explicit `--dispatch pooled`, and per-wave scoped
-    // threads all print byte-identical output.
-    let infer = |extra: &[&str]| {
-        let mut args = vec![
-            "infer",
-            "--trace",
-            trace.to_str().expect("utf8 path"),
-            "--iterations",
-            "30",
-            "--seed",
-            "3",
-            "--shards",
-            "2",
-        ];
-        args.extend_from_slice(extra);
-        let out = qni().args(&args).output().expect("run infer --dispatch");
-        assert!(
-            out.status.success(),
-            "{extra:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let base = infer(&[]);
-    assert_eq!(base, infer(&["--dispatch", "pooled"]));
-    assert_eq!(base, infer(&["--dispatch", "scoped"]));
-
-    // Streaming too: pooled and scoped stdout match byte for byte.
-    let stream = |extra: &[&str]| {
-        let mut args = vec![
-            "stream",
-            "--trace",
-            trace.to_str().expect("utf8 path"),
-            "--window",
-            "10",
-            "--stride",
-            "5",
-            "--iterations",
-            "30",
-            "--seed",
-            "3",
-            "--shards",
-            "2",
-        ];
-        args.extend_from_slice(extra);
-        let out = qni().args(&args).output().expect("run stream --dispatch");
-        assert!(
-            out.status.success(),
-            "{extra:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    assert_eq!(stream(&[]), stream(&["--dispatch", "scoped"]));
-
-    // Anything but `pooled`/`scoped` is a usage error.
+    // One record claiming task 4 000 000 000: growing the per-task index
+    // to that id would need a ~96 GB allocation.
+    let mut text = std::fs::read_to_string(&trace).expect("read trace");
+    let first = text.lines().next().expect("non-empty trace").to_owned();
+    assert!(first.starts_with("{\"task\":0,"), "record shape: {first}");
+    text.push_str(&first.replacen("\"task\":0,", "\"task\":4000000000,", 1));
+    text.push('\n');
+    std::fs::write(&trace, text).expect("write trace");
     let out = qni()
-        .args([
-            "infer",
-            "--trace",
-            trace.to_str().expect("utf8 path"),
-            "--iterations",
-            "30",
-            "--dispatch",
-            "threads",
-        ])
+        .args(["infer", "--trace", trace.to_str().expect("utf8 path")])
         .output()
-        .expect("run infer --dispatch threads");
+        .expect("run infer");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--dispatch: expected `pooled` or `scoped`"),
-        "stderr: {stderr}"
-    );
+    assert!(stderr.contains("task id 4000000000"), "stderr: {stderr}");
 }
 
 #[test]

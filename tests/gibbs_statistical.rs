@@ -13,7 +13,7 @@
 //! this tests the *joint* sampler (move composition, support bounds,
 //! segment weights), not just individual conditionals.
 
-use qni::inference::gibbs::sweep::sweep;
+use qni::inference::gibbs::sweep::sweep_with_opts;
 use qni::inference::init::InitStrategy;
 use qni::inference::GibbsState;
 use qni::prelude::*;
@@ -41,7 +41,7 @@ fn joint_chain_matches_closed_form_marginals() {
     let mut entries = Vec::with_capacity(n);
     let mut exits = Vec::with_capacity(n);
     for i in 0..(n + burn) {
-        sweep(&mut state, &mut rng).expect("sweep");
+        sweep_with_opts(&mut state, BatchMode::Scalar, ShardMode::Serial, &mut rng).expect("sweep");
         if i >= burn {
             let log = state.log();
             let task0 = log.task_events(TaskId(0));
@@ -83,7 +83,7 @@ fn chain_mean_service_matches_prior_mean() {
     let mut acc = 0.0;
     let n = 20_000;
     for _ in 0..n {
-        sweep(&mut state, &mut rng).expect("sweep");
+        sweep_with_opts(&mut state, BatchMode::Scalar, ShardMode::Serial, &mut rng).expect("sweep");
         let log = state.log();
         let e = log.task_events(TaskId(0))[1];
         acc += log.service_time(e);
@@ -107,7 +107,7 @@ fn two_task_queue_interaction_respects_fifo_posterior() {
     let mut state =
         GibbsState::new(&masked, vec![2.0, 3.0], InitStrategy::default()).expect("state");
     for _ in 0..2_000 {
-        sweep(&mut state, &mut rng).expect("sweep");
+        sweep_with_opts(&mut state, BatchMode::Scalar, ShardMode::Serial, &mut rng).expect("sweep");
     }
     qni::model::constraints::validate(state.log()).expect("valid after long run");
     // Entries remain sorted (q0 FIFO).

@@ -5,7 +5,7 @@
 //! and constraint-preserving Gibbs sweeps.
 
 use proptest::prelude::*;
-use qni::inference::gibbs::sweep::sweep;
+use qni::inference::gibbs::sweep::sweep_with_opts;
 use qni::inference::init::{initialize_with, InitStrategy};
 use qni::inference::GibbsState;
 use qni::prelude::*;
@@ -96,7 +96,7 @@ proptest! {
         let mut state = GibbsState::new(&masked, all_rates, InitStrategy::default())
             .expect("state");
         for _ in 0..5 {
-            sweep(&mut state, &mut rng).expect("sweep");
+            sweep_with_opts(&mut state, BatchMode::Scalar, ShardMode::Serial, &mut rng).expect("sweep");
             prop_assert!(qni::model::constraints::validate(state.log()).is_ok());
         }
     }
