@@ -5,24 +5,35 @@
 //! **byte-identical** to the serial batched sweep — same logs, same RNG
 //! consumption, same deferred counts — on every sweep it reuses the
 //! pool for, and a cloned state, which starts without a pool, must
-//! build its own and continue on the same bytes. The shard-count
-//! contract itself is pinned by `shard_gibbs.rs`.
+//! build its own and continue on the same bytes. At `run_stem` level,
+//! fits that dispatch on the state's pool at every pool size repeat the
+//! serial fit. The wider shard-count contract is pinned by
+//! `shard_gibbs.rs`.
 
 use qni_core::gibbs::shard::MIN_EVENTS_PER_WORKER;
 use qni_core::gibbs::sweep::{sweep_with_opts, SweepStats};
 use qni_core::init::InitStrategy;
+use qni_core::stem::{run_stem, StemOptions};
 use qni_core::{BatchMode, GibbsState, ShardMode};
-use qni_model::topology::tandem;
+use qni_model::topology::{tandem, Blueprint};
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::{rng_from_seed, Rng};
 use qni_trace::{MaskedLog, ObservationScheme};
 
-fn masked(tasks: usize, frac: f64, seed: u64) -> MaskedLog {
-    let bp = tandem(2.0, &[5.0]).expect("mm1");
+fn blueprint(kind: usize) -> Blueprint {
+    match kind {
+        0 => tandem(2.0, &[5.0]).expect("mm1"),
+        _ => tandem(2.0, &[5.0, 4.0, 6.0]).expect("tandem3"),
+    }
+}
+
+fn masked(kind: usize, tasks: usize, frac: f64, seed: u64) -> MaskedLog {
+    let bp = blueprint(kind);
+    let lambda = bp.network.rates().expect("rates")[0];
     let mut rng = rng_from_seed(seed);
     let truth = Simulator::new(&bp.network)
         .run(
-            &Workload::poisson_n(2.0, tasks).expect("workload"),
+            &Workload::poisson_n(lambda, tasks).expect("workload"),
             &mut rng,
         )
         .expect("simulation");
@@ -60,7 +71,7 @@ fn sweep(st: &mut GibbsState, shard: ShardMode, rng: &mut Rng) -> SweepStats {
 #[test]
 fn large_waves_pooled_dispatch_is_byte_identical_and_reusable() {
     let tasks = 10 * MIN_EVENTS_PER_WORKER;
-    let masked = masked(tasks, 0.05, 9);
+    let masked = masked(0, tasks, 0.05, 9);
     let free = masked.free_arrivals().len();
     assert!(
         free >= 8 * MIN_EVENTS_PER_WORKER,
@@ -93,5 +104,54 @@ fn large_waves_pooled_dispatch_is_byte_identical_and_reusable() {
             base_bits,
             "cloned state diverged ({shards})"
         );
+    }
+}
+
+/// The run_stem-level pin at seed 7: fits that dispatch each wave on
+/// the state's own pool at pool sizes {1, 2, 4} are byte-identical to
+/// the serial batched fit — rate trace, point estimates, and waiting
+/// times.
+#[test]
+fn run_stem_seed7_is_byte_identical_across_dispatch_and_pool_sizes() {
+    let masked = masked(1, 60, 0.25, 7);
+    let run = |shard: ShardMode| {
+        let opts = StemOptions {
+            shard,
+            ..StemOptions::quick_test()
+        };
+        let mut rng = rng_from_seed(7);
+        run_stem(&masked, None, &opts, &mut rng).expect("stem")
+    };
+    let base = run(ShardMode::Serial);
+    for shards in [1usize, 2, 4] {
+        let r = run(ShardMode::Sharded(shards));
+        assert_eq!(base.rate_trace.len(), r.rate_trace.len());
+        for (a, b) in base.rate_trace.iter().zip(&r.rate_trace) {
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "trace diverged at shards={shards}"
+                );
+            }
+        }
+        for (x, y) in base
+            .rates
+            .iter()
+            .chain(&base.mean_waiting)
+            .chain(&base.sampled_service)
+            .zip(
+                r.rates
+                    .iter()
+                    .chain(&r.mean_waiting)
+                    .chain(&r.sampled_service),
+            )
+        {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "estimate diverged at shards={shards}"
+            );
+        }
     }
 }
