@@ -4,6 +4,7 @@ use super::slots::{SlotKind, SlotMap};
 use super::WarmTimes;
 use crate::error::InferenceError;
 use qni_lp::diffcon::DiffSystem;
+use qni_model::ids::QueueId;
 use qni_model::log::EventLog;
 use qni_trace::MaskedLog;
 
@@ -69,6 +70,27 @@ pub fn initialize(
         slots.write(&mut log, v, x);
     }
     Ok(log)
+}
+
+/// The latest each queue's first event can depart given the
+/// observations: the maximal feasible completion of its departure slot,
+/// indexed by queue (`+inf` where nothing bounds it or the queue has no
+/// events). A task placed ahead of that event in the queue must depart
+/// by then for the log to stay feasible.
+pub(crate) fn queue_head_ceilings(masked: &MaskedLog) -> Result<Vec<f64>, InferenceError> {
+    let log = masked.scrubbed_log();
+    let slots = SlotMap::build(&log);
+    let mut sys = DiffSystem::new(slots.len());
+    add_constraints(&log, &slots, &mut sys)?;
+    fix_observed(masked, &log, &slots, &mut sys)?;
+    let sol = sys.solve()?;
+    Ok((0..log.num_queues())
+        .map(|q| {
+            log.events_at_queue(QueueId::from_index(q))
+                .first()
+                .map_or(f64::INFINITY, |&e| sol.max[slots.departure_slot(&log, e)])
+        })
+        .collect())
 }
 
 /// Target value for a free slot: the warm-start time if one is carried

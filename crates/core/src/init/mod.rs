@@ -23,6 +23,7 @@ mod longest_path;
 mod lp;
 mod slots;
 
+pub(crate) use longest_path::queue_head_ceilings;
 pub use slots::{SlotKind, SlotMap};
 
 use crate::error::InferenceError;

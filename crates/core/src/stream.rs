@@ -99,7 +99,7 @@
 
 use crate::chains::{run_chains, ParallelStemOptions};
 use crate::error::InferenceError;
-use crate::init::WarmTimes;
+use crate::init::{queue_head_ceilings, WarmTimes};
 use crate::stem::StemOptions;
 use qni_model::ids::{QueueId, StateId, TaskId};
 use qni_model::log::{EventLog, EventLogBuilder};
@@ -542,7 +542,15 @@ impl StreamEngine {
         // Inject the carried server occupancy before fitting.
         let window = match (&self.prev, self.opts.occupancy_carry) {
             (Some(p), true) => {
-                let carry = occupancy_carry(&p.window, &p.final_log, &window);
+                let mut carry = occupancy_carry(&p.window, &p.final_log, &window);
+                // A carry task heads its queue, so it must depart by the
+                // latest time the queue's first real event can.
+                for (q, latest) in queue_head_ceilings(window.masked())?
+                    .into_iter()
+                    .enumerate()
+                {
+                    carry.cap(QueueId::from_index(q), latest);
+                }
                 window.with_occupancy(&carry)?
             }
             _ => window,

@@ -57,9 +57,10 @@ pub enum TraceError {
         /// What was out of order.
         what: &'static str,
     },
-    /// A trace line failed UTF-8 validation or JSON parsing, located
-    /// precisely in its source so quarantine reports and hard failures
-    /// name the exact offending input.
+    /// A trace line failed to decode (see
+    /// [`crate::record::decode_line`]), located precisely in its source
+    /// so quarantine reports and hard failures name the exact offending
+    /// input.
     BadLine {
         /// Source of the line (file path, or a synthetic label for
         /// in-memory streams).
@@ -146,6 +147,28 @@ impl fmt::Display for TraceError {
                     "I/O error tailing {path} at byte offset {offset}: {source}"
                 )
             }
+        }
+    }
+}
+
+impl TraceError {
+    /// Names `path` as the source of a [`TraceError::BadLine`] read from
+    /// a stream (which only knows the label
+    /// [`crate::record::STREAM_LABEL`]); other errors pass through.
+    pub fn in_file(self, path: &str) -> Self {
+        match self {
+            TraceError::BadLine {
+                line,
+                offset,
+                message,
+                ..
+            } => TraceError::BadLine {
+                path: path.to_string(),
+                line,
+                offset,
+                message,
+            },
+            other => other,
         }
     }
 }

@@ -43,7 +43,7 @@
 //! deterministic transient failures.
 
 use crate::error::TraceError;
-use crate::record::TraceRecord;
+use crate::record::{decode_line, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -51,11 +51,12 @@ use std::path::{Path, PathBuf};
 
 /// Reassembles arbitrarily chunked bytes into parsed JSONL records.
 ///
-/// Feed it byte chunks in file order; it splits on `\n`, parses each
-/// complete non-blank line, and buffers a trailing partial line until a
-/// later chunk completes it. Splitting any byte stream into chunks —
-/// at any boundaries, including mid-UTF-8 — yields the same records as
-/// parsing the whole stream at once.
+/// Feed it byte chunks in file order; it splits on `\n`, decodes each
+/// complete non-blank line with [`crate::record::decode_line`] (the
+/// decoder [`crate::record::read_jsonl`] uses), and buffers a trailing
+/// partial line until a later chunk completes it. Splitting any byte
+/// stream into chunks — at any boundaries, including mid-UTF-8 — yields
+/// the same records as parsing the whole stream at once.
 #[derive(Debug, Default)]
 pub struct LineAssembler {
     pending: Vec<u8>,
@@ -68,7 +69,8 @@ pub enum LineOutcome {
     Record(TraceRecord),
     /// The line was blank (skipped, matching [`crate::record::read_jsonl`]).
     Blank,
-    /// The line failed UTF-8 validation or JSON parsing.
+    /// The line failed to decode (invalid UTF-8, malformed JSON, a
+    /// missing or mistyped field, or a non-finite time).
     Bad(String),
 }
 
@@ -114,17 +116,23 @@ impl LineAssembler {
         let mut out = Vec::new();
         let mut rest = chunk;
         while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            self.pending.extend_from_slice(&rest[..nl]);
+            let head = &rest[..nl];
             rest = &rest[nl + 1..];
-            let line = std::mem::take(&mut self.pending);
-            let len = line.len() + 1;
-            let outcome = match std::str::from_utf8(&line) {
-                Err(_) => LineOutcome::Bad("trace line is not valid UTF-8".to_string()),
-                Ok(text) if text.trim().is_empty() => LineOutcome::Blank,
-                Ok(text) => match serde_json::from_str(text) {
-                    Ok(rec) => LineOutcome::Record(rec),
-                    Err(e) => LineOutcome::Bad(e.to_string()),
-                },
+            // A line wholly inside the chunk decodes in place; only a
+            // line carried over from an earlier chunk goes through the
+            // (reused) pending buffer.
+            let (decoded, len) = if self.pending.is_empty() {
+                (decode_line(head), nl + 1)
+            } else {
+                self.pending.extend_from_slice(head);
+                let done = (decode_line(&self.pending), self.pending.len() + 1);
+                self.pending.clear();
+                done
+            };
+            let outcome = match decoded {
+                Ok(Some(rec)) => LineOutcome::Record(rec),
+                Ok(None) => LineOutcome::Blank,
+                Err(e) => LineOutcome::Bad(e.to_string()),
             };
             out.push(DrainedLine { outcome, len });
         }
@@ -145,7 +153,7 @@ impl LineAssembler {
                 LineOutcome::Blank => {}
                 LineOutcome::Bad(message) => {
                     return Err(TraceError::BadLine {
-                        path: "<stream>".to_string(),
+                        path: crate::record::STREAM_LABEL.to_string(),
                         line: i as u64 + 1,
                         offset,
                         message,
@@ -786,6 +794,38 @@ mod tests {
             other => panic!("expected BadLine, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A non-finite time is a bad line: quarantined and counted within
+    /// the budget, a located hard error past it — never a record that
+    /// fails later as a shape mismatch.
+    #[test]
+    fn non_finite_times_are_quarantined_bad_lines() {
+        let records = sample_records(4, 8);
+        let good = jsonl_bytes(4, 8);
+        let text = String::from_utf8(good.clone()).unwrap();
+        let first = text.lines().next().unwrap();
+        let infinite = first.replacen("\"departure\":", "\"departure\":1e999,\"x\":", 1);
+        let mut bytes = good.clone();
+        bytes.extend_from_slice(infinite.as_bytes());
+        bytes.push(b'\n');
+        let path = tmp_path("non-finite");
+        std::fs::write(&path, &bytes).unwrap();
+        let opts = TailOptions {
+            max_bad_lines: 1,
+            ..TailOptions::default()
+        };
+        let mut tail = TailReader::with_options(&path, opts);
+        assert_eq!(tail.poll().unwrap(), records);
+        assert_eq!(tail.stats().bad_lines, 1);
+        std::fs::remove_file(&path).unwrap();
+        match LineAssembler::new().push(&bytes) {
+            Err(TraceError::BadLine { line, message, .. }) => {
+                assert_eq!(line, records.len() as u64 + 1);
+                assert!(message.contains("departure") && message.contains("not finite"));
+            }
+            other => panic!("expected BadLine, got {other:?}"),
+        }
     }
 
     /// A snapshot taken mid-stream (partial line held) restores a reader

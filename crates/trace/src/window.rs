@@ -279,11 +279,16 @@ impl WindowedLog {
                 continue;
             };
             // Feasibility clamp: a pinned departure before the carried
-            // busy time would violate FIFO behind the carry task.
+            // busy time would violate FIFO behind the carry task, and so
+            // would any later bound the caller derived (see
+            // [`OccupancyCarry::cap`]).
             for &e in at_queue {
                 if self.masked.departure_pinned(e) {
                     residual = residual.min(log.departure(e));
                 }
+            }
+            if let Some(&latest) = carry.latest.get(q.index()) {
+                residual = residual.min(latest);
             }
             if residual > 0.0 {
                 ghosts.push((log.state_of(first), q, residual));
@@ -323,8 +328,16 @@ impl WindowedLog {
             }
         }
         for &(state, q, residual) in &ghosts {
+            // The carry task enters and arrives at -0.0: the window origin
+            // in every computation, but ordered before +0.0 by the
+            // builder's `total_cmp` sort. So it heads both q0 and its
+            // queue even when real tasks' unobserved times were clamped
+            // to the origin. A tie at +0.0 would be broken by task id in
+            // q0 (carry last) but by departure in its queue (carry
+            // first), and the two orders together make the initializer's
+            // constraint graph cyclic.
             builder
-                .add_task(0.0, &[(state, q, 0.0, residual)])
+                .add_task(-0.0, &[(state, q, -0.0, residual)])
                 .map_err(|_| TraceError::ShapeMismatch {
                     expected: 1,
                     actual: 0,
@@ -366,6 +379,9 @@ impl WindowedLog {
 #[derive(Debug, Clone)]
 pub struct OccupancyCarry {
     busy_until: Vec<f64>,
+    /// Per-queue latest carry-task departure on the next window's local
+    /// clock (`+inf` until [`OccupancyCarry::cap`] lowers it).
+    latest: Vec<f64>,
 }
 
 impl OccupancyCarry {
@@ -376,6 +392,19 @@ impl OccupancyCarry {
             .get(q.index())
             .copied()
             .unwrap_or(f64::NEG_INFINITY)
+    }
+
+    /// Caps queue `q`'s carry task to depart by `latest` on the window's
+    /// local clock. [`WindowedLog::with_occupancy`] clamps the carry to
+    /// the queue's pinned departures itself; a caller that knows a
+    /// tighter bound — the latest the queue's first event can depart
+    /// given every observation, which a pinned later time of the same
+    /// task can force below the carried busy time — passes it here, so
+    /// the carry task heading the queue stays feasible.
+    pub fn cap(&mut self, q: QueueId, latest: f64) {
+        if let Some(l) = self.latest.get_mut(q.index()) {
+            *l = l.min(latest);
+        }
     }
 }
 
@@ -412,7 +441,8 @@ pub fn occupancy_carry(
             }
         }
     }
-    OccupancyCarry { busy_until }
+    let latest = vec![f64::INFINITY; busy_until.len()];
+    OccupancyCarry { busy_until, latest }
 }
 
 /// The initial FSM state used for synthesized q0 events: the state of
@@ -1573,6 +1603,55 @@ mod tests {
         assert!(s.finish().is_err());
     }
 
+    /// A carry task heads q0 and its queue even when a real task's
+    /// unobserved times were clamped to the window origin, and
+    /// [`OccupancyCarry::cap`] bounds its departure.
+    #[test]
+    fn carry_tasks_head_their_queues_ahead_of_clamped_tasks() {
+        let s = WindowSchedule::new(5.0, 5.0).unwrap();
+        // Task 0 occupies q1 from 1.0 to 7.5, fully observed. Task 1
+        // enters at 4.0 and is first measured at its q2 arrival, 8.0, so
+        // window 1 owns it and clamps its entry and q1 arrival to 0.
+        let mut b = EventLogBuilder::new(3, StateId(0));
+        b.add_task(1.0, &[(StateId(1), QueueId(1), 1.0, 7.5)])
+            .unwrap();
+        b.add_task(
+            4.0,
+            &[
+                (StateId(1), QueueId(1), 4.0, 8.0),
+                (StateId(2), QueueId(2), 8.0, 9.0),
+            ],
+        )
+        .unwrap();
+        let log = b.build().unwrap();
+        let mut mask = ObservedMask::unobserved(log.num_events());
+        for e in log.task_events(TaskId(0)) {
+            mask.observe_arrival(*e);
+            mask.observe_departure(*e);
+        }
+        mask.observe_arrival(log.task_events(TaskId(1))[2]);
+        let ml = MaskedLog::new(log, mask).unwrap();
+        let windows = slice_windows(&ml, &s).unwrap();
+        let real = windows[1].masked().ground_truth();
+        assert_eq!(real.num_tasks(), 1);
+        assert_eq!(real.task_entry(TaskId(0)), 0.0, "entry clamped");
+        let prev_final = windows[0].masked().ground_truth().clone();
+        let mut carry = occupancy_carry(&windows[0], &prev_final, &windows[1]);
+        for with in [windows[1].with_occupancy(&carry).unwrap(), {
+            carry.cap(QueueId(1), 1.0);
+            windows[1].with_occupancy(&carry).unwrap()
+        }] {
+            let wlog = with.masked().ground_truth();
+            let ghost = wlog.task_events(TaskId(1));
+            assert_eq!(wlog.events_at_queue(QueueId(0))[0], ghost[0]);
+            assert_eq!(wlog.events_at_queue(QueueId(1))[0], ghost[1]);
+            assert_eq!(wlog.arrival(ghost[1]), 0.0);
+        }
+        let capped = windows[1].with_occupancy(&carry).unwrap();
+        let ghost = capped.masked().ground_truth().task_events(TaskId(1));
+        assert_eq!(capped.masked().ground_truth().departure(ghost[1]), 1.0);
+    }
+
     /// Occupancy carry: residual busy time from non-shared tasks is
     /// measured on the absolute clock, injected as a pinned carry task,
     /// clamped by pinned departures, and skipped for queues with no
@@ -1680,6 +1759,7 @@ mod tests {
         // A window's own ghosts count as carried work for the next one.
         let ghosted = windows[1].with_occupancy(&OccupancyCarry {
             busy_until: vec![f64::NEG_INFINITY, 7.0],
+            latest: Vec::new(),
         });
         let ghosted = ghosted.unwrap();
         assert_eq!(ghosted.carry_tasks(), 1);

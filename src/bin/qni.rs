@@ -9,7 +9,10 @@
 //! ```
 //!
 //! Flags are deliberately minimal (no external argument-parsing
-//! dependency); every subcommand prints `--help`-style usage on error.
+//! dependency). A usage error (an unknown command or flag, a missing or
+//! malformed flag value) prints `error: ...` followed by the usage text;
+//! a failure once the command runs (an unreadable or malformed trace, a
+//! failed fit, a violated watch gate) prints only `error: ...`.
 
 use qni::prelude::*;
 use std::cell::Cell;
@@ -45,16 +48,50 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError::Usage(e)) => {
             eprintln!("error: {e}\n{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Failed(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
+
+/// Why a command failed: a usage error is reported with the usage text,
+/// a failure while the command ran without it.
+enum CliError {
+    /// The command line was wrong.
+    Usage(String),
+    /// The command line was fine, but the work failed.
+    Failed(String),
+}
+
+/// Plain messages are usage errors; runtime failures go through
+/// [`failed`].
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Usage(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Usage(e.to_owned())
+    }
+}
+
+/// Maps a runtime error (I/O, trace decoding, a fit) to a failure.
+fn failed(e: impl std::fmt::Display) -> CliError {
+    CliError::Failed(e.to_string())
+}
+
+type CmdResult = Result<(), CliError>;
 
 const USAGE: &str = "\
 qni — probabilistic inference in queueing networks
@@ -148,7 +185,7 @@ fn get_usize(flags: &Flags, key: &str, default: usize) -> Result<usize, String> 
     }
 }
 
-fn cmd_simulate(flags: &Flags) -> Result<(), String> {
+fn cmd_simulate(flags: &Flags) -> CmdResult {
     let tiers: Vec<usize> = flags
         .get("tiers")
         .ok_or("simulate requires --tiers (e.g. 1,2,4)")?
@@ -171,14 +208,13 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
             &Workload::poisson_n(lambda, tasks).map_err(|e| e.to_string())?,
             &mut rng,
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(failed)?;
     let masked = ObservationScheme::task_sampling(observe)
         .map_err(|e| e.to_string())?
         .apply(truth, &mut rng)
-        .map_err(|e| e.to_string())?;
-    let file = std::fs::File::create(out).map_err(|e| e.to_string())?;
-    qni::trace::record::write_jsonl(&masked, std::io::BufWriter::new(file))
-        .map_err(|e| e.to_string())?;
+        .map_err(failed)?;
+    let file = std::fs::File::create(out).map_err(|e| failed(format!("{out}: {e}")))?;
+    qni::trace::record::write_jsonl(&masked, std::io::BufWriter::new(file)).map_err(failed)?;
     eprintln!(
         "wrote {} events ({} tasks, {:.1}% arrivals observed) to {out}",
         masked.ground_truth().num_events(),
@@ -188,16 +224,19 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn load_masked(path: &str) -> Result<MaskedLog, String> {
-    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-    let records =
-        qni::trace::record::read_jsonl(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
+/// Reads and builds the trace at `path`; a malformed line is reported
+/// with the path, its line number and its byte offset.
+fn load_masked(path: &str) -> Result<MaskedLog, CliError> {
+    let file = std::fs::File::open(path).map_err(|e| failed(format!("{path}: {e}")))?;
+    let records = qni::trace::record::read_jsonl(std::io::BufReader::new(file))
+        .map_err(|e| failed(e.in_file(path)))?;
     let num_queues = records
         .iter()
         .map(|r| r.event.queue.index() + 1)
         .max()
-        .ok_or("trace is empty")?;
-    qni::trace::record::from_records(&records, num_queues).map_err(|e| e.to_string())
+        .ok_or_else(|| failed(format!("{path}: trace is empty")))?;
+    qni::trace::record::from_records(&records, num_queues)
+        .map_err(|e| failed(format!("{path}: {e}")))
 }
 
 /// The engine knobs shared by `infer`, `localize`, and `stream`.
@@ -271,7 +310,7 @@ fn parse_engine_flags(flags: &Flags, waiting_sweeps: usize) -> Result<EngineFlag
     })
 }
 
-fn cmd_infer(flags: &Flags, localize_report: bool) -> Result<(), String> {
+fn cmd_infer(flags: &Flags, localize_report: bool) -> CmdResult {
     let path = flags.get("trace").ok_or("requires --trace FILE")?;
     let EngineFlags {
         opts,
@@ -293,7 +332,7 @@ fn cmd_infer(flags: &Flags, localize_report: bool) -> Result<(), String> {
         master_seed: seed,
         thread_budget: Some(threads),
     };
-    let r = run_stem_parallel(&masked, None, &popts).map_err(|e| e.to_string())?;
+    let r = run_stem_parallel(&masked, None, &popts).map_err(failed)?;
     println!("pooled over {chains} chain(s) (master seed {seed}, per-chain seeds via split_seed)");
     if shards > 1 {
         let effective = popts.effective_shard().workers();
@@ -329,7 +368,7 @@ fn cmd_infer(flags: &Flags, localize_report: bool) -> Result<(), String> {
         );
     }
     if localize_report {
-        let report = localize(&r.mean_service, &r.mean_waiting).map_err(|e| e.to_string())?;
+        let report = localize(&r.mean_service, &r.mean_waiting).map_err(failed)?;
         println!("\nbottleneck ranking:");
         for d in &report.ranked {
             println!(
@@ -365,7 +404,7 @@ fn parse_occupancy_carry(flags: &Flags) -> Result<bool, String> {
     }
 }
 
-fn cmd_stream(flags: &Flags) -> Result<(), String> {
+fn cmd_stream(flags: &Flags) -> CmdResult {
     let path = flags.get("trace").ok_or("requires --trace FILE")?;
     let width: f64 = flags
         .get("window")
@@ -386,7 +425,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     let warm_start = match flags.get("warm-start").map(String::as_str) {
         None | Some("on") => true,
         Some("off") => false,
-        Some(v) => return Err(format!("--warm-start: expected `on` or `off`, got `{v}`")),
+        Some(v) => return Err(format!("--warm-start: expected `on` or `off`, got `{v}`").into()),
     };
     // waiting_sweeps = 1: per-window fits do not report waiting times;
     // one fixed-rate sweep keeps the chain state fresh for the next
@@ -412,7 +451,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     let (csv_path, json_path) = (flags.get("out"), flags.get("json"));
     flags.reject_unread()?;
     let masked = load_masked(path)?;
-    let traj = run_stream(&masked, &schedule, &sopts).map_err(|e| e.to_string())?;
+    let traj = run_stream(&masked, &schedule, &sopts).map_err(failed)?;
     println!(
         "streaming over {} window(s) (width {width}, stride {stride}, warm-start {}, \
          {chains} chain(s), master seed {seed}; window w seeds via split_seed(seed, w))",
@@ -452,14 +491,13 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
         println!("µ̂ q{q}: [{}]", series.join(", "));
     }
     if let Some(path) = csv_path {
-        let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        traj.to_csv(std::io::BufWriter::new(file))
-            .map_err(|e| e.to_string())?;
+        let file = std::fs::File::create(path).map_err(|e| failed(format!("{path}: {e}")))?;
+        traj.to_csv(std::io::BufWriter::new(file)).map_err(failed)?;
         eprintln!("wrote trajectory CSV to {path}");
     }
     if let Some(path) = json_path {
-        let json = serde_json::to_string(&traj).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string(&traj).map_err(failed)?;
+        std::fs::write(path, json).map_err(|e| failed(format!("{path}: {e}")))?;
         eprintln!("wrote trajectory JSON to {path}");
     }
     println!("fingerprint={}", traj.fingerprint_digest());
@@ -480,7 +518,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
 /// the same command resumes from it bit-identically. `--follow-rotations
 /// on` survives copytruncate log rotation, and `--max-bad-lines N`
 /// quarantines up to N malformed lines before hard-failing.
-fn cmd_watch(flags: &Flags) -> Result<(), String> {
+fn cmd_watch(flags: &Flags) -> CmdResult {
     let path = flags.get("trace").ok_or("watch requires --trace FILE")?;
     let width: f64 = flags
         .get("window")
@@ -526,15 +564,13 @@ fn cmd_watch(flags: &Flags) -> Result<(), String> {
     let warm_start = match flags.get("warm-start").map(String::as_str) {
         None | Some("on") => true,
         Some("off") => false,
-        Some(v) => return Err(format!("--warm-start: expected `on` or `off`, got `{v}`")),
+        Some(v) => return Err(format!("--warm-start: expected `on` or `off`, got `{v}`").into()),
     };
     let follow_rotations = match flags.get("follow-rotations").map(String::as_str) {
         None | Some("off") => false,
         Some("on") => true,
         Some(v) => {
-            return Err(format!(
-                "--follow-rotations: expected `on` or `off`, got `{v}`"
-            ))
+            return Err(format!("--follow-rotations: expected `on` or `off`, got `{v}`").into())
         }
     };
     let max_bad_lines = get_usize(flags, "max-bad-lines", 0)? as u64;
@@ -584,13 +620,13 @@ fn cmd_watch(flags: &Flags) -> Result<(), String> {
         .filter(|p| std::path::Path::new(p).exists())
         .map(Checkpoint::load)
         .transpose()
-        .map_err(|e| e.to_string())?;
+        .map_err(failed)?;
     let resumed_from = existing.as_ref().map(|cp| cp.tail.offset);
     let mut session = match &existing {
         Some(cp) => WatchSession::resume(path, schedule, num_queues, sopts, tail_opts, cp)
-            .map_err(|e| e.to_string())?,
+            .map_err(failed)?,
         None => WatchSession::with_tail_options(path, schedule, num_queues, sopts, tail_opts)
-            .map_err(|e| e.to_string())?,
+            .map_err(failed)?,
     };
     println!(
         "watching {path} (width {width}, stride {stride}, {num_queues} queues, \
@@ -692,7 +728,7 @@ fn cmd_watch(flags: &Flags) -> Result<(), String> {
             }
         },
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(failed)?;
     let peak_open = session.peak_open_spans();
     let peak_buffered = session.peak_buffered_tasks();
     let records = session.records_seen();
@@ -704,7 +740,7 @@ fn cmd_watch(flags: &Flags) -> Result<(), String> {
         session
             .checkpoint()
             .save_atomic(cp)
-            .map_err(|e| format!("final checkpoint write failed: {e}"))?;
+            .map_err(|e| failed(format!("final checkpoint write failed: {e}")))?;
         eprintln!("wrote checkpoint to {cp}");
     }
     let aborted = violation.is_some() || checkpoint_error.is_some();
@@ -712,7 +748,7 @@ fn cmd_watch(flags: &Flags) -> Result<(), String> {
         // Do not drain: the run is failing; report what was fitted.
         session.trajectory_snapshot()
     } else {
-        session.finish().map_err(|e| e.to_string())?
+        session.finish().map_err(failed)?
     };
     println!(
         "{}: {records} records, {} windows, peak {peak_open} resident window(s), \
@@ -729,22 +765,18 @@ fn cmd_watch(flags: &Flags) -> Result<(), String> {
         tail_stats.retries,
     );
     if let Some(p) = &out_path {
-        let file = std::fs::File::create(p).map_err(|e| e.to_string())?;
-        traj.to_csv(std::io::BufWriter::new(file))
-            .map_err(|e| e.to_string())?;
+        let file = std::fs::File::create(p).map_err(|e| failed(format!("{p}: {e}")))?;
+        traj.to_csv(std::io::BufWriter::new(file)).map_err(failed)?;
         eprintln!("wrote trajectory CSV to {p}");
     }
     if let Some(p) = json_path {
-        let json = serde_json::to_string(&traj).map_err(|e| e.to_string())?;
-        std::fs::write(p, json).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string(&traj).map_err(failed)?;
+        std::fs::write(p, json).map_err(|e| failed(format!("{p}: {e}")))?;
         eprintln!("wrote trajectory JSON to {p}");
     }
     println!("fingerprint={}", traj.fingerprint_digest());
-    if let Some(v) = violation {
-        return Err(v);
-    }
-    if let Some(e) = checkpoint_error {
-        return Err(e);
+    if let Some(e) = violation.or(checkpoint_error) {
+        return Err(CliError::Failed(e));
     }
     Ok(())
 }
@@ -864,7 +896,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_volume(flags: &Flags) -> Result<(), String> {
+fn cmd_volume(flags: &Flags) -> CmdResult {
     use qni::trace::volume::{human_bytes, DeploymentVolume, RecordCost};
     let tasks_per_day = get_usize(flags, "tasks-per-day", 0)? as u64;
     let events_per_task = get_usize(flags, "events-per-task", 0)? as u64;

@@ -502,6 +502,69 @@ fn infer_rejects_a_task_id_gap_with_a_typed_error() {
 }
 
 #[test]
+fn malformed_trace_lines_name_the_file_and_line_without_usage() {
+    let dir = std::env::temp_dir().join("qni-cli-bad-line-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let trace = dir.join("trace.jsonl");
+    let out = qni()
+        .args([
+            "simulate",
+            "--tiers",
+            "1",
+            "--tasks",
+            "30",
+            "--out",
+            trace.to_str().expect("utf8 path"),
+        ])
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&trace).expect("read trace");
+    let lines: Vec<&str> = text.lines().collect();
+    let offset = lines[0].len() + 1;
+    // A truncated second line, and a second line with a time that
+    // overflows to infinity: both are rejected while reading, naming
+    // the file, line 2 and its byte offset.
+    let truncated = &lines[1][..lines[1].len() / 2];
+    let infinite = lines[1].replacen("\"departure\":", "\"departure\":1e999,\"d\":", 1);
+    for (bad, needle) in [(truncated.to_owned(), "at byte"), (infinite, "not finite")] {
+        let mut broken = vec![lines[0].to_owned(), bad];
+        broken.extend(lines[2..].iter().map(|l| l.to_string()));
+        std::fs::write(&trace, broken.join("\n") + "\n").expect("write trace");
+        for cmd in ["infer", "localize"] {
+            let out = qni()
+                .args([cmd, "--trace", trace.to_str().expect("utf8 path")])
+                .output()
+                .expect("run");
+            assert!(!out.status.success());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("line 2 (byte offset {offset})"))
+                    && stderr.contains(trace.to_str().expect("utf8 path"))
+                    && stderr.contains(needle),
+                "{cmd} stderr: {stderr}"
+            );
+            assert!(!stderr.contains("USAGE"), "{cmd} stderr: {stderr}");
+        }
+        let out = qni()
+            .args([
+                "stream",
+                "--trace",
+                trace.to_str().expect("utf8 path"),
+                "--window",
+                "5",
+                "--stride",
+                "5",
+            ])
+            .output()
+            .expect("run stream");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("line 2"), "stream stderr: {stderr}");
+    }
+}
+
+#[test]
 fn watch_matches_stream_fingerprint_and_enforces_gates() {
     let dir = std::env::temp_dir().join("qni-cli-watch-test");
     std::fs::create_dir_all(&dir).expect("tmp dir");

@@ -207,3 +207,57 @@ fn warm_and_cold_streams_are_distinct_but_both_reproducible() {
     assert!(warm.windows[1..].iter().any(|w| w.warm_started));
     assert!(cold.windows.iter().all(|w| !w.warm_started));
 }
+
+/// Occupancy carry on event-sampled data. Event sampling leaves tasks
+/// whose earliest measured time lies in a later window than their entry,
+/// so their unobserved times are clamped to that window's origin — the
+/// time carry tasks enter and arrive at. The case is the first 8 000
+/// records of a 20 000-task `three_tier(10, 5, [1,2,4])` trace at 50%
+/// event sampling, seed 7, window 10, stride 5. Every window must fit,
+/// and the carry must actually apply.
+#[test]
+fn occupancy_carry_fits_every_event_sampled_window() {
+    let bp = qni::model::topology::three_tier(10.0, 5.0, &[1, 2, 4], false).expect("topology");
+    let mut rng = rng_from_seed(7);
+    let truth = Simulator::new(&bp.network)
+        .run(
+            &Workload::poisson_n(10.0, 20_000).expect("workload"),
+            &mut rng,
+        )
+        .expect("simulation");
+    let full = ObservationScheme::event_sampling(0.5)
+        .expect("fraction")
+        .apply(truth, &mut rng)
+        .expect("mask");
+    let records = qni::trace::record::to_records(full.ground_truth(), full.mask());
+    let num_queues = full.ground_truth().num_queues();
+    let masked =
+        qni::trace::record::from_records(&records[..8_000], num_queues).expect("trace prefix");
+    let schedule = WindowSchedule::new(10.0, 5.0).expect("schedule");
+    let opts = StreamOptions {
+        stem: StemOptions {
+            iterations: 20,
+            burn_in: 10,
+            waiting_sweeps: 1,
+            ..StemOptions::default()
+        },
+        chains: 1,
+        master_seed: 2,
+        thread_budget: None,
+        warm_start: true,
+        warm_burn_in: None,
+        occupancy_carry: true,
+        clock: None,
+    };
+    let traj = run_stream(&masked, &schedule, &opts).expect("every window fits");
+    assert_eq!(traj.windows.len(), 80);
+    assert!(traj.windows.iter().any(|w| w.carry_tasks > 0));
+    for w in traj.windows.iter().filter(|w| !w.carried) {
+        assert!(
+            w.rates.iter().all(|r| r.is_finite() && *r > 0.0),
+            "window {}: {:?}",
+            w.index,
+            w.rates
+        );
+    }
+}
