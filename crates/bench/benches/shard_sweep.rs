@@ -1,7 +1,8 @@
 //! Criterion benches for the intra-trace sharded sweep engine: the same
-//! giant-trace batched sweep at shard counts {1, 2, 4}. On a 1-core
-//! host the sharded points measure spawn overhead only; the
-//! `shard_speedup` binary is the tracked experiment.
+//! giant-trace batched sweep at shard counts {1, 2, 4}, in absolute time
+//! per sweep. On a 1-core host the sharded points measure dispatch
+//! overhead only. No `qnibench` workload shards, so this bench is the
+//! measurement for any sharding change.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qni_core::gibbs::sweep::sweep_with_opts;

@@ -3,10 +3,10 @@
 //! M/M/1 workload, warm vs. cold window starts, against the fixed-log
 //! baseline that cannot track the switch.
 //!
-//! Emits `results/BENCH_stream.json` (machine-readable, consumed by the
-//! CI `bench-smoke` job and the cross-run `bench_compare` check) and the
-//! per-window trajectory CSV `results/stream_trajectory.csv` (uploaded
-//! as a CI artifact). Environment knobs:
+//! Emits `results/BENCH_stream.json` (machine-readable, gated and
+//! uploaded by the CI `bench-smoke` job) and the per-window trajectory
+//! CSV `results/stream_trajectory.csv` (uploaded as a CI artifact).
+//! Environment knobs:
 //!
 //! - `QNI_QUICK=1` — reduced scenario for smoke runs.
 //! - `QNI_STREAM_GATE=<f64>` — exit nonzero unless the warm stream's

@@ -12,34 +12,26 @@
 //! - `one_percent` — the abstract's claim that 1% of trace data suffices.
 //! - `scaling_table` — §5.2's claim that sweep cost scales in the number
 //!   of unobserved arrivals, not the number of servers.
-//! - `chain_scaling` — wall-clock speedup of the multi-chain parallel
-//!   StEM engine at K ∈ {1, 2, 4, 8}, emitting `BENCH_chains.json` for
-//!   the CI anti-regression gate.
-//! - `batch_speedup` — batched-vs-scalar arrival-move wall-clock on
-//!   M/M/1, tandem-3, and fork-join workloads, emitting
-//!   `BENCH_batch.json` for the CI anti-regression gate.
-//! - `shard_speedup` — intra-trace sharded sweeps at shard counts
-//!   {1, 2, 4} on giant single-chain traces, emitting
-//!   `BENCH_shard.json` (speedup + deferred-move fraction per
-//!   workload) for the CI gate.
 //! - `stream_tracking` — streaming windowed StEM vs. the fixed-log
 //!   engine on a piecewise-constant workload, emitting
 //!   `BENCH_stream.json` (tracking error + per-window wall time, warm
 //!   vs. cold starts) and the `stream_trajectory.csv` artifact.
-//! - `bench_compare` — cross-run regression check: compares the current
-//!   `BENCH_*.json` against the previous CI run's artifact.
+//!
+//! No binary here measures speed. `qnibench` (the separate package
+//! under `qnibench/`, declared in `BENCHMARK.json`) is the one bench
+//! harness: it times `qni infer` and `qni watch` end to end and layer by
+//! layer in absolute units, and checks bit-identity and λ̂ accuracy. The
+//! criterion benches in `benches/` time single kernels (sweeps, batched
+//! and sharded sweeps, multi-chain StEM, LP init, piecewise densities,
+//! the simulator).
 //!
 //! Shared infrastructure lives here: replication runners, parallel
 //! mapping, and console tables. CSV outputs land in `results/`.
 
-pub mod batch_speedup;
-pub mod chain_scaling;
-pub mod compare;
 pub mod fig4;
 pub mod fig5;
 pub mod jobs;
 pub mod scaling;
-pub mod shard_speedup;
 pub mod stream_tracking;
 pub mod table;
 pub mod variance;

@@ -12,10 +12,9 @@
 //! - per-window and total wall time for both modes,
 //! - the fixed-log λ̂ and its error against *both* segments,
 //!
-//! and emits `results/BENCH_stream.json` (consumed by the CI gate and
-//! the cross-run `bench_compare` check) plus the full per-window
-//! trajectory as `results/stream_trajectory.csv` (uploaded as a CI
-//! artifact).
+//! and emits `results/BENCH_stream.json` (consumed by the CI gate) plus
+//! the full per-window trajectory as `results/stream_trajectory.csv`
+//! (uploaded as a CI artifact).
 
 use qni_core::stem::{run_stem, StemOptions};
 use qni_core::stream::{run_stream, RateTrajectory, StreamOptions};

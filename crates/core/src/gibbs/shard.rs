@@ -61,8 +61,8 @@
 //! live log (the same scalar fallback the batched engine always had),
 //! so every draw remains the exact full conditional regardless of shard
 //! count. [`super::batch::GroupStats::fallbacks`] counts these deferred
-//! moves; the `shard_speedup` bench reports them as the per-workload
-//! deferred fraction.
+//! moves. The `shard_sweep` criterion bench times sharded sweeps in
+//! absolute ms per sweep.
 //!
 //! # Scheduling policy
 //!

@@ -187,24 +187,14 @@ pub(crate) fn run_chain<R: Rng + ?Sized>(
     for v in &mut rates {
         *v /= kept.len() as f64;
     }
-    // Waiting-time phase at fixed µ̂.
-    state.set_rates(&rates)?;
-    let mut wait_acc = vec![0.0f64; q];
-    let mut serv_acc = vec![0.0f64; q];
-    let mut avgs = Vec::new();
-    let sweeps = opts.waiting_sweeps.max(1);
-    for _ in 0..sweeps {
-        sweep_with_opts(&mut state, opts.batch, opts.shard, rng)?;
-        state.log().queue_averages_into(&mut avgs);
-        for (i, avg) in avgs.iter().enumerate() {
-            if avg.count > 0 {
-                wait_acc[i] += avg.mean_waiting;
-                serv_acc[i] += avg.mean_service;
-            }
-        }
-    }
-    let mean_waiting: Vec<f64> = wait_acc.into_iter().map(|w| w / sweeps as f64).collect();
-    let sampled_service: Vec<f64> = serv_acc.into_iter().map(|s| s / sweeps as f64).collect();
+    let (mean_waiting, sampled_service) = waiting_phase(
+        &mut state,
+        &rates,
+        opts.waiting_sweeps.max(1),
+        opts.batch,
+        opts.shard,
+        rng,
+    )?;
     let mean_service: Vec<f64> = rates.iter().map(|r| 1.0 / r).collect();
     Ok(StemResult {
         rates,
@@ -214,6 +204,37 @@ pub(crate) fn run_chain<R: Rng + ?Sized>(
         rate_trace: trace,
         final_log: state.log,
     })
+}
+
+/// The waiting-time phase at fixed µ̂ shared by [`run_stem`] and
+/// [`run_mcem`]: sets `rates`, runs `sweeps` Gibbs sweeps, and returns
+/// each queue's mean waiting and sampled service time, summed over the
+/// sweeps in which the queue has events and divided by `sweeps`.
+fn waiting_phase<R: Rng + ?Sized>(
+    state: &mut GibbsState,
+    rates: &[f64],
+    sweeps: usize,
+    batch: BatchMode,
+    shard: ShardMode,
+    rng: &mut R,
+) -> Result<(Vec<f64>, Vec<f64>), InferenceError> {
+    state.set_rates(rates)?;
+    let q = state.log().num_queues();
+    let mut wait_acc = vec![0.0f64; q];
+    let mut serv_acc = vec![0.0f64; q];
+    let mut avgs = Vec::new();
+    for _ in 0..sweeps {
+        sweep_with_opts(state, batch, shard, rng)?;
+        state.log().queue_averages_into(&mut avgs);
+        for (i, avg) in avgs.iter().enumerate() {
+            if avg.count > 0 {
+                wait_acc[i] += avg.mean_waiting;
+                serv_acc[i] += avg.mean_service;
+            }
+        }
+    }
+    let mean = |acc: Vec<f64>| acc.into_iter().map(|v| v / sweeps as f64).collect();
+    Ok((mean(wait_acc), mean(serv_acc)))
 }
 
 /// Options for [`run_mcem`].
@@ -291,25 +312,18 @@ pub fn run_mcem<R: Rng + ?Sized>(
     // The last M-step's rates (the trace's last row); waiting estimation
     // is identical to StEM.
     let rates = rates_buf;
-    state.set_rates(&rates)?;
-    let mut wait_acc = vec![0.0f64; q];
-    let mut serv_acc = vec![0.0f64; q];
-    let mut avgs = Vec::new();
-    let sweeps_n = opts.inner_sweeps;
-    for _ in 0..sweeps_n {
-        sweep_with_opts(&mut state, opts.batch, opts.shard, rng)?;
-        state.log().queue_averages_into(&mut avgs);
-        for (i, avg) in avgs.iter().enumerate() {
-            if avg.count > 0 {
-                wait_acc[i] += avg.mean_waiting;
-                serv_acc[i] += avg.mean_service;
-            }
-        }
-    }
+    let (mean_waiting, sampled_service) = waiting_phase(
+        &mut state,
+        &rates,
+        opts.inner_sweeps,
+        opts.batch,
+        opts.shard,
+        rng,
+    )?;
     Ok(StemResult {
         mean_service: rates.iter().map(|r| 1.0 / r).collect(),
-        mean_waiting: wait_acc.into_iter().map(|w| w / sweeps_n as f64).collect(),
-        sampled_service: serv_acc.into_iter().map(|s| s / sweeps_n as f64).collect(),
+        mean_waiting,
+        sampled_service,
         rates,
         rate_trace: trace,
         final_log: state.log,

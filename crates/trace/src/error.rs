@@ -36,6 +36,14 @@ pub enum TraceError {
         /// is too large; `None` when `task` itself has no records.
         record: Option<usize>,
     },
+    /// A task repeats a record: it has a second initial record, or a
+    /// visit record identical to an earlier one of the same task.
+    DuplicateRecord {
+        /// The task with the repeat.
+        task: usize,
+        /// 1-based position of the later of the two records.
+        record: usize,
+    },
     /// Mask and log shapes disagree.
     ShapeMismatch {
         /// Expected number of events.
@@ -112,6 +120,11 @@ impl fmt::Display for TraceError {
             TraceError::TaskIdGap { task, record: None } => write!(
                 f,
                 "task id {task} has no records: task ids must run densely from 0"
+            ),
+            TraceError::DuplicateRecord { task, record } => write!(
+                f,
+                "record {record} repeats an earlier record of task {task}: \
+                 a task has one initial record and no two identical visits"
             ),
             TraceError::ShapeMismatch { expected, actual } => {
                 write!(f, "mask covers {actual} events, log has {expected}")

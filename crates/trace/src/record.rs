@@ -589,24 +589,26 @@ fn slot_of(key: &[u8]) -> Option<usize> {
 /// [`write_jsonl`] emits them. Task ids must run densely from 0; a gap
 /// fails with [`TraceError::TaskIdGap`]. Every task has at least one
 /// record, so an id at or above the record count always leaves a gap
-/// and is rejected before anything is allocated for it.
+/// and is rejected before anything is allocated for it. A task has
+/// exactly one initial record, and no two of its visit records may match
+/// field for field (times bit for bit); either kind of repeat fails with
+/// [`TraceError::DuplicateRecord`].
 pub fn from_records(records: &[TraceRecord], num_queues: usize) -> Result<MaskedLog, TraceError> {
     use qni_model::log::EventLogBuilder;
-    // Group by task preserving order.
-    let mut by_task: Vec<Vec<&TraceRecord>> = Vec::new();
     for (pos, rec) in records.iter().enumerate() {
-        let idx = rec.event.task.index();
-        if idx >= records.len() {
+        let task = rec.event.task.index();
+        if task >= records.len() {
             return Err(TraceError::TaskIdGap {
-                task: idx,
+                task,
                 record: Some(pos + 1),
             });
         }
-        if by_task.len() <= idx {
-            by_task.resize_with(idx + 1, Vec::new);
-        }
-        by_task[idx].push(rec);
     }
+    // Record positions grouped by task. The sort is stable, so each
+    // task keeps its records' input order; on the usual task-ordered
+    // trace it is one linear pass.
+    let mut order: Vec<usize> = (0..records.len()).collect();
+    order.sort_by_key(|&p| records[p].event.task);
     let initial_state = records
         .iter()
         .find(|r| r.event.is_initial())
@@ -614,32 +616,47 @@ pub fn from_records(records: &[TraceRecord], num_queues: usize) -> Result<Masked
         .unwrap_or(qni_model::ids::StateId(0));
     let mut builder = EventLogBuilder::new(num_queues, initial_state);
     let mut flags: Vec<(bool, bool)> = Vec::with_capacity(records.len());
-    for (task, recs) in by_task.iter().enumerate() {
-        if recs.is_empty() {
+    let mut visits = Vec::new();
+    let mut scratch = Vec::new();
+    for (task, positions) in order
+        .chunk_by(|&a, &b| records[a].event.task == records[b].event.task)
+        .enumerate()
+    {
+        if records[positions[0]].event.task.index() != task {
             return Err(TraceError::TaskIdGap { task, record: None });
         }
-        let initial =
-            recs.iter()
-                .find(|r| r.event.is_initial())
-                .ok_or(TraceError::ShapeMismatch {
-                    expected: 1,
-                    actual: 0,
-                })?;
-        let visits: Vec<_> = recs
-            .iter()
-            .filter(|r| !r.event.is_initial())
-            .map(|r| {
-                (
-                    r.event.state,
-                    r.event.queue,
-                    r.event.arrival,
-                    r.event.departure,
-                )
-            })
-            .collect();
+        let mut initial = None;
+        scratch.clear();
+        for &p in positions {
+            if !records[p].event.is_initial() {
+                scratch.push(p);
+            } else if initial.is_none() {
+                initial = Some(&records[p]);
+            } else {
+                return Err(TraceError::DuplicateRecord {
+                    task,
+                    record: p + 1,
+                });
+            }
+        }
+        let initial = initial.ok_or(TraceError::ShapeMismatch {
+            expected: 1,
+            actual: 0,
+        })?;
+        visits.clear();
         flags.push((initial.arrival_observed, initial.departure_observed));
-        for r in recs.iter().filter(|r| !r.event.is_initial()) {
+        for &p in &scratch {
+            let r = &records[p];
+            visits.push((
+                r.event.state,
+                r.event.queue,
+                r.event.arrival,
+                r.event.departure,
+            ));
             flags.push((r.arrival_observed, r.departure_observed));
+        }
+        if let Some(record) = first_repeat(records, &mut scratch) {
+            return Err(TraceError::DuplicateRecord { task, record });
         }
         builder
             .add_task(initial.event.departure, &visits)
@@ -663,6 +680,29 @@ pub fn from_records(records: &[TraceRecord], num_queues: usize) -> Result<Masked
         }
     }
     MaskedLog::new(log, mask)
+}
+
+/// The 1-based position of the earliest record among `positions` that
+/// repeats an earlier one field for field, if any. Sorts `positions`.
+fn first_repeat(records: &[TraceRecord], positions: &mut [usize]) -> Option<usize> {
+    let key = |p: usize| {
+        let r = &records[p];
+        (
+            r.event.state,
+            r.event.queue,
+            r.event.arrival.to_bits(),
+            r.event.departure.to_bits(),
+            r.arrival_observed,
+            r.departure_observed,
+        )
+    };
+    // Equal records sort next to each other, earliest position first.
+    positions.sort_unstable_by_key(|&p| (key(p), p));
+    positions
+        .windows(2)
+        .filter(|w| key(w[0]) == key(w[1]))
+        .map(|w| w[1] + 1)
+        .min()
 }
 
 /// Convenience: extracts the full event list of a log as records with the
@@ -762,6 +802,55 @@ mod tests {
             TraceError::TaskIdGap { task, record: None } if task == last.index()
         ));
         assert!(err.to_string().contains(&format!("task id {}", last.0)));
+    }
+
+    #[test]
+    fn duplicate_records_are_typed_errors_naming_the_later_one() {
+        let ml = masked();
+        let records = to_records(ml.ground_truth(), ml.mask());
+        assert!(records[0].event.is_initial() && !records[1].event.is_initial());
+        // Prepending a copy of task 0's initial record (position 1) or of
+        // its first visit (position 2): the original is the later one.
+        for copied in [0, 1] {
+            let mut dup = vec![records[copied]];
+            dup.extend_from_slice(&records);
+            let err = from_records(&dup, 3).unwrap_err();
+            assert!(
+                matches!(err, TraceError::DuplicateRecord { task: 0, record } if record == copied + 2),
+                "{err}"
+            );
+            assert!(err.to_string().contains("task 0"), "{err}");
+        }
+        // A second initial record need not be identical to be rejected.
+        let n = records.len();
+        let mut second = records.clone();
+        let mut extra = records[0];
+        extra.event.departure += 1.0;
+        second.push(extra);
+        assert!(matches!(
+            from_records(&second, 3),
+            Err(TraceError::DuplicateRecord { task: 0, record }) if record == n + 1
+        ));
+        // A visit repeated far from its task is still found.
+        let last = records[n - 1];
+        let mut repeated = records.clone();
+        repeated.insert(0, last);
+        repeated.push(last);
+        assert!(matches!(
+            from_records(&repeated, 3),
+            Err(TraceError::DuplicateRecord { task, record })
+                if task == last.event.task.index() && record == n + 1
+        ));
+        // The same visit with a different observation flag is not a
+        // repeat: every field counts.
+        let mut flipped = records.clone();
+        let mut other = records[1];
+        other.arrival_observed = !other.arrival_observed;
+        flipped.insert(2, other);
+        assert!(!matches!(
+            from_records(&flipped, 3),
+            Err(TraceError::DuplicateRecord { .. })
+        ));
     }
 
     #[test]

@@ -100,24 +100,22 @@ USAGE:
   qni simulate --tiers 1,2,4 [--lambda 10] [--mu 5] [--tasks 1000]
                [--observe 0.1] [--seed 1] --out trace.jsonl
   qni infer    --trace trace.jsonl [--iterations 200] [--burn-in N]
-               [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--threads N]
+               [--seed 2] [--chains 1] [--shards 1] [--threads N]
   qni localize --trace trace.jsonl [--iterations 200] [--burn-in N]
-               [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--threads N]
+               [--seed 2] [--chains 1] [--shards 1] [--threads N]
   qni stream   --trace trace.jsonl --window W --stride S
                [--warm-start on|off] [--warm-burn-in B]
                [--occupancy-carry on|off] [--iterations 200] [--burn-in N]
-               [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--threads N] [--out traj.csv] [--json traj.json]
+               [--seed 2] [--chains 1] [--shards 1] [--threads N]
+               [--out traj.csv] [--json traj.json]
   qni watch    --trace trace.jsonl --window W --stride S --queues Q
                [--poll-ms 50] [--idle-polls 40] [--max-lag-strides L]
                [--max-resident R] [--checkpoint cp.json] [--checkpoint-every 1]
                [--follow-rotations on|off] [--max-bad-lines 0]
                [--warm-start on|off] [--warm-burn-in B]
                [--occupancy-carry on|off] [--iterations 200] [--burn-in N]
-               [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--threads N] [--out traj.csv] [--json traj.json]
+               [--seed 2] [--chains 1] [--shards 1] [--threads N]
+               [--out traj.csv] [--json traj.json]
   qni volume   --tasks-per-day N --events-per-task M [--fraction 0.01]
   qni lint     [--json] [--sarif FILE] [path-prefix ...]";
 
@@ -249,18 +247,12 @@ struct EngineFlags {
 }
 
 /// Parses and validates the shared engine flags (`--iterations`,
-/// `--burn-in`, `--seed`, `--chains`, `--batch`, `--shards`,
-/// `--threads`).
+/// `--burn-in`, `--seed`, `--chains`, `--shards`, `--threads`).
 fn parse_engine_flags(flags: &Flags, waiting_sweeps: usize) -> Result<EngineFlags, String> {
     let iterations = get_usize(flags, "iterations", 200)?;
     let burn_in = get_usize(flags, "burn-in", iterations / 2)?;
     let seed = get_usize(flags, "seed", 2)? as u64;
     let chains = get_usize(flags, "chains", 1)?;
-    let batch = match flags.get("batch").map(String::as_str) {
-        None | Some("on") => BatchMode::Grouped,
-        Some("off") => BatchMode::Scalar,
-        Some(v) => return Err(format!("--batch: expected `on` or `off`, got `{v}`")),
-    };
     if chains == 0 {
         return Err("--chains must be >= 1".into());
     }
@@ -294,7 +286,6 @@ fn parse_engine_flags(flags: &Flags, waiting_sweeps: usize) -> Result<EngineFlag
         iterations,
         burn_in,
         waiting_sweeps,
-        batch,
         shard,
         ..StemOptions::default()
     };

@@ -103,8 +103,8 @@ fn simulate_then_infer_round_trip() {
 }
 
 #[test]
-fn infer_rejects_empty_kept_window_and_bad_batch_flag() {
-    let dir = std::env::temp_dir().join("qni-cli-batch-test");
+fn infer_rejects_an_empty_kept_window() {
+    let dir = std::env::temp_dir().join("qni-cli-burn-in-test");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let trace = dir.join("trace.jsonl");
     let out = qni()
@@ -149,22 +149,7 @@ fn infer_rejects_empty_kept_window_and_bad_batch_flag() {
         "stderr: {stderr}"
     );
 
-    // Invalid --batch value is rejected.
-    let out = qni()
-        .args([
-            "infer",
-            "--trace",
-            trace.to_str().expect("utf8 path"),
-            "--batch",
-            "sometimes",
-        ])
-        .output()
-        .expect("run infer");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--batch"), "stderr: {stderr}");
-
-    // Explicit scalar mode and a custom burn-in both work end to end.
+    // A custom burn-in works end to end.
     let out = qni()
         .args([
             "infer",
@@ -174,8 +159,6 @@ fn infer_rejects_empty_kept_window_and_bad_batch_flag() {
             "40",
             "--burn-in",
             "10",
-            "--batch",
-            "off",
         ])
         .output()
         .expect("run infer");
@@ -447,8 +430,13 @@ fn unknown_flags_are_rejected_before_any_work() {
     assert!(!trace.exists(), "simulate wrote a trace despite a bad flag");
     assert!(simulate(&[]).status.success());
     // `--iteration 500` would otherwise silently run the default 200
-    // iterations, and the removed `--dispatch` must not be ignored.
-    for (flag, value) in [("--iteration", "500"), ("--dispatch", "scoped")] {
+    // iterations, and the removed `--dispatch` and `--batch` must not be
+    // ignored.
+    for (flag, value) in [
+        ("--iteration", "500"),
+        ("--dispatch", "scoped"),
+        ("--batch", "off"),
+    ] {
         for cmd in ["infer", "stream"] {
             let mut args = vec![cmd, "--trace", path, "--iterations", "30"];
             if cmd == "stream" {
@@ -499,6 +487,41 @@ fn infer_rejects_a_task_id_gap_with_a_typed_error() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("task id 4000000000"), "stderr: {stderr}");
+}
+
+#[test]
+fn infer_rejects_a_duplicated_record_naming_the_trace() {
+    let dir = std::env::temp_dir().join("qni-cli-duplicate-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let trace = dir.join("trace.jsonl");
+    let path = trace.to_str().expect("utf8 path");
+    let out = qni()
+        .args([
+            "simulate", "--tiers", "1,2", "--tasks", "200", "--out", path,
+        ])
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&trace).expect("read trace");
+    // Line 1 is task 0's initial record, line 2 its first visit; a copy
+    // of either, prepended, makes the original the repeat.
+    for line in 0..2 {
+        let copy = text.lines().nth(line).expect("two lines");
+        std::fs::write(&trace, format!("{copy}\n{text}")).expect("write trace");
+        let out = qni()
+            .args(["infer", "--trace", path, "--iterations", "8"])
+            .output()
+            .expect("run infer");
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(path)
+                && stderr.contains(&format!("record {} repeats", line + 2))
+                && stderr.contains("task 0"),
+            "stderr: {stderr}"
+        );
+        assert!(!stderr.contains("USAGE"), "stderr: {stderr}");
+    }
 }
 
 #[test]
